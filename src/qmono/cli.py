@@ -9,12 +9,13 @@ error.  The env var QMONO_TOL overrides the default tolerance 1e-9.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
 
-from . import group, homology, loops, orbits, representation, selftest
-from .errors import QmonoError
+from . import group, homology, orbits, representation
+from .errors import MalformedLoopFile, QmonoError
 from .representation import Parity
 
 
@@ -77,6 +78,19 @@ def _parse_point(text: str) -> tuple[int, int]:
     return (u, v)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _cmd_orbit(args) -> int:
     parity = Parity.from_dimension(args.n)
     start = _parse_point(args.start)
@@ -107,8 +121,14 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import loops  # numpy loads only for the loop commands
+
     with open(args.loop_file) as fh:
-        loop = loops.loop_from_dict(json.load(fh))
+        try:
+            loop = loops.loop_from_dict(json.load(fh))
+        except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:  # not JSON, or not the loop format
+            raise MalformedLoopFile(f"{args.loop_file}: {type(exc).__name__}: {exc}") from None
     if args.n is not None and args.n != loop.n:
         raise QmonoError(f"--n {args.n} does not match loop dimension {loop.n}")
     result = loops.classify(loop)
@@ -118,12 +138,7 @@ def _cmd_classify(args) -> int:
         "kappa_bit": result.word.kappa_bit,
         "matrix_even": result.matrix_even.rows(),
         "matrix_odd": result.matrix_odd.rows(),
-        "diagnostics": {
-            "min_discriminant_margin": diags.min_discriminant_margin,
-            "max_relative_step": diags.max_relative_step,
-            "crossing_count": diags.crossing_count,
-            "branch_flip": diags.branch_flip,
-        },
+        "diagnostics": dataclasses.asdict(diags),
     }
     text = "\n".join([
         f"word: {group.format_word(result.word)}",
@@ -154,6 +169,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_make_loop(args) -> int:
+    from . import loops
+
     if args.kind == "alpha":
         loop = loops.make_alpha_loop(args.n, args.eps, args.samples)
     elif args.kind == "beta":
@@ -170,6 +187,8 @@ def _cmd_make_loop(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest
+
     results = selftest.run_selftest()
     document = {"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                            for r in results],
@@ -214,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("orbit", _cmd_orbit, help="lattice orbit report")
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--start", default="1,0", help="start point u,v")
-    p.add_argument("--radius", type=int, default=8, help="box radius")
-    p.add_argument("--max-word-len", type=int, default=12)
+    p.add_argument("--radius", type=_int_at_least(1), default=8, help="box radius")
+    p.add_argument("--max-word-len", type=_int_at_least(0), default=12)
 
     p = add("classify", _cmd_classify, help="classify a sampled loop")
     p.add_argument("--n", type=int, help="expected ambient dimension")
@@ -243,7 +262,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except QmonoError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

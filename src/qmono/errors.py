@@ -29,32 +29,53 @@ class ZeroCoefficientVector(QmonoError):
     """A hyperplane needs a nonzero coefficient vector."""
 
 
-class UndersampledLoop(QmonoError):
+class SampleError(QmonoError):
+    """A loop rejected at a sample; ``index`` is the first offending one."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
+
+
+class NonFiniteSample(SampleError):
+    """A loop sample has a NaN or infinite coefficient or offset."""
+
+
+class UndersampledLoop(SampleError):
     """Consecutive samples are too far apart for unambiguous continuation."""
 
 
-class AsymptoticSample(QmonoError):
+class AsymptoticSample(SampleError):
     """A sample hyperplane is (numerically) asymptotic to the quadric."""
 
 
-class BranchAmbiguity(QmonoError):
+class BranchAmbiguity(SampleError):
     """The continued square-root branch matches neither expected endpoint."""
 
 
-class PunctureCollision(QmonoError):
-    """A path segment in the fiber passes too close to a puncture."""
+class PunctureCollision(SampleError):
+    """A segment of the closed fiber path [0, w_0, ..., w_{m-1}, 0] passes
+    too close to a puncture; ``index`` k names the segment that ends at
+    sample k (k = m is the return to the origin)."""
 
 
-class NotClosed(QmonoError):
+class NotClosed(SampleError):
     """Loop endpoints do not match up to the closure scale factor."""
 
 
-class NotGeneralPosition(QmonoError):
-    """A loop sample is tangent or asymptotic; carries the sample index."""
+class NotGeneralPosition(SampleError):
+    """A loop sample is tangent or asymptotic."""
 
     def __init__(self, index: int, message: str | None = None):
-        self.index = index
-        super().__init__(message or f"sample {index} is not in general position")
+        super().__init__(index, message or f"sample {index} is not in general position")
+
+
+class BadTolerance(QmonoError):
+    """The tolerance is not a finite number with 0 < tol < 1."""
+
+
+class MalformedLoopFile(QmonoError):
+    """A loop document is not valid JSON or lacks the loop format's keys."""
 
 
 class BadParameters(QmonoError):

@@ -5,24 +5,32 @@ A hyperplane {<c, z> = d} (complex bilinear pairing, no conjugation) is
 tangent to it iff d^2 = q and asymptotic iff q = 0, where q = sum c_i^2.
 Both criteria are evaluated on the scale-normalized representative with
 |c| = 1, so all predicates are invariant under (c, d) -> (lambda c,
-lambda d).
+lambda d).  The scalar predicates are the m = 1 case of `incidence`.
 """
 
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 
 import numpy as np
 
-from .errors import ZeroCoefficientVector
+from .errors import BadTolerance, ZeroCoefficientVector
 
 DEFAULT_TOL = 1e-9
 
 
 def default_tol() -> float:
-    """Default tolerance, overridable through the QMONO_TOL env var."""
+    """Default tolerance, overridable through the QMONO_TOL env var by a
+    number with 0 < tol < 1 (a NaN would switch every check off)."""
     value = os.environ.get("QMONO_TOL")
-    return float(value) if value else DEFAULT_TOL
+    try:
+        tol = float(value) if value else DEFAULT_TOL
+    except ValueError:
+        tol = float("nan")
+    if not 0.0 < tol < 1.0:
+        raise BadTolerance(f"QMONO_TOL must be a number with 0 < tol < 1, got {value!r}")
+    return tol
 
 
 class Hyperplane:
@@ -80,30 +88,43 @@ def quad_form(c) -> complex:
     return complex(np.sum(c * c))
 
 
+Incidence = namedtuple("Incidence", "q d tangent asymptotic margin")
+
+
+def incidence(c: np.ndarray, d: np.ndarray, tol: float | None = None) -> Incidence:
+    """For hyperplanes with rows c: (m, n) and offsets d: (m,), at |c| = 1:
+    q = sum c_i^2, the offset d, the masks tangent (d^2 = q) and asymptotic
+    (q = 0) within tol, and the discriminant distance proxy
+    margin = min(|d^2 - q|, |q|)."""
+    tol = default_tol() if tol is None else tol
+    # |c| = top |c / top| with top = max |c_i| neither overflows nor underflows.
+    top = np.abs(c).max(axis=1)
+    inv = 1.0 / (top * np.linalg.norm(c / top[:, None], axis=1))
+    cn = c * inv[:, None]
+    q = np.sum(cn * cn, axis=1)
+    dn = d * inv
+    d2 = dn * dn
+    gap = np.abs(d2 - q)
+    size = np.abs(q)
+    tangent = gap <= tol * np.maximum(np.maximum(np.abs(d2), size), 1.0)
+    return Incidence(q, dn, tangent, size <= tol, np.minimum(gap, size))
+
+
 def is_tangent(h: Hyperplane, tol: float | None = None) -> bool:
     """True iff the hyperplane is tangent to the quadric: d^2 = q."""
-    if tol is None:
-        tol = default_tol()
-    hn = h.normalized()
-    q = quad_form(hn.c)
-    d2 = hn.d * hn.d
-    return abs(d2 - q) <= tol * max(abs(d2), abs(q), 1.0)
+    return bool(incidence(h.c[None], np.array([h.d]), tol).tangent[0])
 
 
 def is_asymptotic(h: Hyperplane, tol: float | None = None) -> bool:
     """True iff the hyperplane's direction is isotropic: q = 0."""
-    if tol is None:
-        tol = default_tol()
-    hn = h.normalized()
-    return abs(quad_form(hn.c)) <= tol
+    return bool(incidence(h.c[None], np.array([h.d]), tol).asymptotic[0])
 
 
 def in_general_position(h: Hyperplane, tol: float | None = None) -> bool:
-    return not is_tangent(h, tol) and not is_asymptotic(h, tol)
+    inc = incidence(h.c[None], np.array([h.d]), tol)
+    return not (inc.tangent[0] or inc.asymptotic[0])
 
 
 def discriminant_margin(h: Hyperplane) -> float:
     """Distance proxy to the discriminant: min(|d^2 - q|, |q|) at |c| = 1."""
-    hn = h.normalized()
-    q = quad_form(hn.c)
-    return min(abs(hn.d * hn.d - q), abs(q))
+    return float(incidence(h.c[None], np.array([h.d])).margin[0])

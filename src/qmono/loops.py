@@ -4,12 +4,17 @@ A loop of general-position hyperplanes (c_t, d_t) is reduced to a path
 in a model fiber: q_t = sum c_i(t)^2 is tracked through a continuous
 square-root branch s_t, and w_t = d_t / s_t maps the two tangency
 values of every parallel pencil to the punctures +1 and -1.  The class
-of the loop is then
+of the loop is a kappa bit, set when s returns to -lambda s_0 instead
+of +lambda s_0 (the punctures swapped after transport), and the free
+crossing word of w_t in C \\ {+1, -1}, cut along (1, +inf) and (-inf, -1).
 
-  * a kappa bit: whether the branch s returns to +lambda s_0 or to
-    -lambda s_0 (the two punctures swapped after transport), and
-  * a free word in a, b: the crossing word of the path w_t in
-    C \\ {+1, -1}, with cuts along (1, +inf) and (-inf, -1).
+`classify` stacks the samples once into c: (m, n) and d: (m,) for one
+array pass.  With principal roots r_i = sqrt(q_i), s_i = eps_i r_i where
+eps_0 = 1 and eps_{i+1} = eps_i sign(Re(r_{i+1} conj(r_i))); the q-step
+check |q_{i+1} - q_i| < |q_i| keeps r_{i+1} / r_i within pi/4 of +-1,
+so the sign never ties.  A refusal names the first offending sample;
+the checks run in the order non-finite, general position, closure,
+q-step, branch endpoint, puncture collision, fiber step.
 
 Crossing conventions are fixed so that the model generator loops
 (counterclockwise around +1, counterclockwise around -1, and the
@@ -27,17 +32,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import group, representation
-from .errors import (
-    AsymptoticSample,
-    BadParameters,
-    BranchAmbiguity,
-    DimensionTooSmall,
-    NotClosed,
-    NotGeneralPosition,
-    PunctureCollision,
-    UndersampledLoop,
-)
-from .geometry import Hyperplane, default_tol, discriminant_margin, in_general_position, quad_form
+from .errors import (AsymptoticSample, BadParameters, BranchAmbiguity, DimensionTooSmall,
+                     NonFiniteSample, NotClosed, NotGeneralPosition, PunctureCollision,
+                     UndersampledLoop)
+from .geometry import Hyperplane, Incidence, default_tol, incidence
 from .group import FreeWord, GroupWord
 from .representation import MonodromyMatrix, Parity
 
@@ -84,6 +82,25 @@ class ClassificationResult:
     diagnostics: LoopDiagnostics
 
 
+def _refuse(bad: np.ndarray, error: type, message: str, values=None) -> None:
+    """Raise error at the first i where bad holds; message may use i and v = values[i]."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(i, message.format(i=i, v=None if values is None else values[i]))
+
+
+def _sqrt_branch(q: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Continuous square-root branch of q and the relative steps |dq| / |q|."""
+    size = np.abs(q)
+    _refuse(size <= tol, AsymptoticSample, "|q| = {v:.3g} at sample {i}", size)
+    dq = np.abs(np.diff(q))
+    step = dq / size[:-1]
+    _refuse(dq >= size[:-1], UndersampledLoop, "relative step {v:.3g} >= 1 at sample {i}", step)
+    r = np.sqrt(q)
+    flips = np.where((r[1:] * r[:-1].conj()).real < 0.0, -1.0, 1.0)
+    return r * np.concatenate(([1.0], np.cumprod(flips))), step
+
+
 def continue_sqrt_branch(q_samples: Sequence[complex],
                          tol: float | None = None) -> List[complex]:
     """Continuous square-root branch along a path of nonzero values.
@@ -92,24 +109,8 @@ def continue_sqrt_branch(q_samples: Sequence[complex],
     next q nearer to the previous s.  Requires relative steps < 1 so
     the nearer root is unambiguous.
     """
-    if tol is None:
-        tol = default_tol()
-    qs = [complex(q) for q in q_samples]
-    if not qs:
-        return []
-    for i, q in enumerate(qs):
-        if abs(q) <= tol:
-            raise AsymptoticSample(f"|q| = {abs(q):.3g} at sample {i}")
-    branch = [cmath.sqrt(qs[0])]
-    for i in range(len(qs) - 1):
-        if abs(qs[i + 1] - qs[i]) >= abs(qs[i]):
-            raise UndersampledLoop(
-                f"relative step {abs(qs[i + 1] - qs[i]) / abs(qs[i]):.3g} >= 1 "
-                f"at sample {i}")
-        root = cmath.sqrt(qs[i + 1])
-        branch.append(root if abs(root - branch[-1]) <= abs(root + branch[-1])
-                      else -root)
-    return branch
+    tol = default_tol() if tol is None else tol
+    return _sqrt_branch(np.asarray(q_samples, dtype=complex), tol)[0].tolist()
 
 
 def closure_scale(loop: HyperplaneLoop, tol: float | None = None) -> complex:
@@ -118,137 +119,114 @@ def closure_scale(loop: HyperplaneLoop, tol: float | None = None) -> complex:
     Uses the explicit closure_lambda when present (validated), else the
     least-squares fit; raises NotClosed when the residual exceeds tol.
     """
-    if tol is None:
-        tol = default_tol()
+    tol = default_tol() if tol is None else tol
+    last = len(loop.samples) - 1
     v0 = loop.samples[0].coefficient_vector()
     vm = loop.samples[-1].coefficient_vector()
     scale = float(np.linalg.norm(v0))
     if loop.closure_lambda is not None:
         lam = complex(loop.closure_lambda)
         if lam == 0:
-            raise NotClosed("closure_lambda must be nonzero")
+            raise NotClosed(last, f"closure_lambda must be nonzero (sample {last})")
     else:
         lam = complex(np.vdot(v0, vm) / np.vdot(v0, v0))
     residual = float(np.max(np.abs(vm - lam * v0)))
     if residual > tol * scale:
-        raise NotClosed(f"closure residual {residual:.3g} exceeds tolerance")
+        raise NotClosed(last, f"closure residual {residual:.3g} at sample {last} exceeds tolerance")
     return lam
 
 
-def _normalized_samples(loop: HyperplaneLoop) -> List[Hyperplane]:
-    return [h.normalized() for h in loop.samples]
+def _stacked_incidence(loop: HyperplaneLoop, tol: float) -> Incidence:
+    """Stack the samples into c: (m, n) and d: (m,) and evaluate them."""
+    c = np.array([h.c for h in loop.samples])
+    d = np.array([h.d for h in loop.samples])
+    _refuse(~(np.isfinite(c).all(axis=1) & np.isfinite(d)), NonFiniteSample,
+            "sample {i} has a non-finite coefficient or offset")
+    inc = incidence(c, d, tol)
+    # Subnormal coefficients, or an offset too large for |c| = 1.
+    _refuse(~(np.isfinite(inc.q) & np.isfinite(inc.d)), NonFiniteSample,
+            "sample {i} is not finite at |c| = 1")
+    return inc
 
 
-def _normalized_closure(loop: HyperplaneLoop, tol: float | None) -> complex:
+def _normalized_closure(loop: HyperplaneLoop, tol: float) -> complex:
     # Per-sample normalization rescales the endpoints by positive reals,
     # so the closure factor picks up the ratio of coefficient norms.
-    lam = closure_scale(loop, tol)
-    n0 = np.linalg.norm(loop.samples[0].c)
-    nm = np.linalg.norm(loop.samples[-1].c)
-    return lam * float(n0) / float(nm)
+    ratio = np.linalg.norm(loop.samples[0].c) / np.linalg.norm(loop.samples[-1].c)
+    return closure_scale(loop, tol) * float(ratio)
 
 
-def kappa_bit(loop: HyperplaneLoop, tol: float | None = None) -> int:
-    """0 if the sqrt branch closes up to lambda, 1 if it flips sign."""
-    samples = _normalized_samples(loop)
-    lam = _normalized_closure(loop, tol)
-    branch = continue_sqrt_branch([quad_form(h.c) for h in samples], tol)
-    target = lam * branch[0]
-    same = abs(branch[-1] - target)
-    flipped = abs(branch[-1] + target)
+def _branch_bit(lam: complex, branch: np.ndarray) -> int:
+    """0 if the branch ends at +lam s_0, 1 if at -lam s_0."""
+    end, target = complex(branch[-1]), lam * complex(branch[0])
+    same, flipped = abs(end - target), abs(end + target)
     limit = _BRANCH_MATCH_RTOL * max(abs(target), 1e-300)
     if same <= limit and same <= flipped:
         return 0
     if flipped <= limit:
         return 1
     raise BranchAmbiguity(
-        f"branch endpoint matches neither +-lambda s_0 "
-        f"(residuals {same:.3g}, {flipped:.3g})")
+        branch.size - 1, f"branch endpoint at sample {branch.size - 1} matches neither "
+        f"+-lambda s_0 (residuals {same:.3g}, {flipped:.3g})")
 
 
-def _sign(im: float) -> int:
+def kappa_bit(loop: HyperplaneLoop, tol: float | None = None) -> int:
+    """0 if the sqrt branch closes up to lambda, 1 if it flips sign."""
+    tol = default_tol() if tol is None else tol
+    inc = _stacked_incidence(loop, tol)
+    lam = _normalized_closure(loop, tol)
+    return _branch_bit(lam, _sqrt_branch(inc.q, tol)[0])
+
+
+def _fiber_letters(w: np.ndarray, tol: float) -> List[group.Letter]:
+    """Crossing letters of the fiber path w, closed through the origin."""
+    # Basepoint transport: close up through the origin of the model fiber.
+    path = np.concatenate(([0j], w, [0j]))
+    # Distances of +1 (row 0) and -1 (row 1) to every segment of the path.
+    rel = np.array([[1.0], [-1.0]]) - path[:-1]
+    seg = np.diff(path)
+    denom = np.abs(seg) ** 2
+    dot = rel.real * seg.real + rel.imag * seg.imag
+    t = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0.0)
+    near = np.abs(rel - np.clip(t, 0.0, 1.0) * seg) <= tol
+    _refuse(near.any(axis=0), PunctureCollision,
+            "fiber path segment {i} passes through {v:+.0f}", np.where(near[0], 1.0, -1.0))
+    step = np.abs(np.diff(w))
+    reach = np.minimum(np.abs(w[:-1] - 1.0), np.abs(w[:-1] + 1.0))
+    _refuse(step >= reach, UndersampledLoop,
+            "fiber step {v:.3g} at sample {i} reaches the nearest puncture", step)
     # Points exactly on the real axis count as upper half-plane; the
     # paths we care about touch the axis only between the punctures.
-    return 1 if im >= 0.0 else -1
-
-
-def _crossing_letters(path: Sequence[complex]) -> List[group.Letter]:
-    letters: List[group.Letter] = []
-    for z1, z2 in zip(path, path[1:]):
-        s1, s2 = _sign(z1.imag), _sign(z2.imag)
-        if s1 == s2:
-            continue
-        x = z1.real + (z2.real - z1.real) * (-z1.imag) / (z2.imag - z1.imag)
-        upward = s2 == 1
-        if x > 1.0:
-            letters.append((group.ALPHA, 1 if upward else -1))
-        elif x < -1.0:
-            letters.append((group.BETA, -1 if upward else 1))
-    return letters
-
-
-def _check_puncture_distance(z1: complex, z2: complex, tol: float) -> None:
-    for p in (1.0, -1.0):
-        if _point_segment_distance(p, z1, z2) <= tol:
-            raise PunctureCollision(f"path segment passes through {p:+.0f}")
-
-
-def _point_segment_distance(p: complex, z1: complex, z2: complex) -> float:
-    seg = z2 - z1
-    denom = abs(seg) ** 2
-    if denom == 0.0:
-        return abs(p - z1)
-    t = ((p - z1).real * seg.real + (p - z1).imag * seg.imag) / denom
-    t = min(1.0, max(0.0, t))
-    return abs(p - (z1 + t * seg))
+    up = path.imag >= 0.0
+    k = np.flatnonzero(up[:-1] != up[1:])
+    z1, z2 = path[k], path[k + 1]
+    xs = z1.real + (z2.real - z1.real) * (-z1.imag) / (z2.imag - z1.imag)
+    # Upward past +1 is a, downward past -1 is b; the reverse crossings invert.
+    exps = np.where(up[k + 1] == (xs > 0.0), 1, -1)
+    return [(group.ALPHA if x > 0.0 else group.BETA, e)
+            for x, e in zip(xs.tolist(), exps.tolist()) if abs(x) > 1.0]
 
 
 def fiber_word(loop: HyperplaneLoop, tol: float | None = None) -> FreeWord:
     """Crossing word of the fiber path w_t = d_t / s_t, freely reduced."""
-    letters, _ = _fiber_letters(loop, tol)
-    return group.free_reduce(letters)
-
-
-def _fiber_letters(loop: HyperplaneLoop,
-                   tol: float | None) -> Tuple[List[group.Letter], List[complex]]:
-    if tol is None:
-        tol = default_tol()
-    samples = _normalized_samples(loop)
-    branch = continue_sqrt_branch([quad_form(h.c) for h in samples], tol)
-    ws = [h.d / s for h, s in zip(samples, branch)]
-    # Basepoint transport: close up through the origin of the model fiber.
-    path = [0j] + ws + [0j]
-    for z1, z2 in zip(path, path[1:]):
-        _check_puncture_distance(z1, z2, tol)
-    for i in range(len(ws) - 1):
-        step = abs(ws[i + 1] - ws[i])
-        if step >= min(abs(ws[i] - 1.0), abs(ws[i] + 1.0)):
-            raise UndersampledLoop(
-                f"fiber step {step:.3g} at sample {i} reaches the nearest puncture")
-    return _crossing_letters(path), ws
+    tol = default_tol() if tol is None else tol
+    inc = _stacked_incidence(loop, tol)
+    return group.free_reduce(_fiber_letters(inc.d / _sqrt_branch(inc.q, tol)[0], tol))
 
 
 def classify(loop: HyperplaneLoop, tol: float | None = None) -> ClassificationResult:
     """Group element of a sampled loop, with matrices and diagnostics."""
-    if tol is None:
-        tol = default_tol()
-    samples = _normalized_samples(loop)
-    for i, h in enumerate(samples):
-        if not in_general_position(h, tol):
-            raise NotGeneralPosition(i)
-    bit = kappa_bit(loop, tol)
-    letters, _ = _fiber_letters(loop, tol)
+    tol = default_tol() if tol is None else tol
+    inc = _stacked_incidence(loop, tol)
+    _refuse(inc.tangent | inc.asymptotic, NotGeneralPosition, "sample {i} is not in general position")
+    lam = _normalized_closure(loop, tol)
+    branch, step = _sqrt_branch(inc.q, tol)
+    bit = _branch_bit(lam, branch)
+    letters = _fiber_letters(inc.d / branch, tol)
     word = group.normalize(letters + ([(group.KAPPA, 1)] if bit else []))
-
-    qs = [quad_form(h.c) for h in samples]
-    max_step = max(
-        (abs(q2 - q1) / abs(q1) for q1, q2 in zip(qs, qs[1:])), default=0.0)
-    diags = LoopDiagnostics(
-        min_discriminant_margin=min(discriminant_margin(h) for h in samples),
-        max_relative_step=max_step,
-        crossing_count=len(letters),
-        branch_flip=bit,
-    )
+    diags = LoopDiagnostics(min_discriminant_margin=float(inc.margin.min()),
+                            max_relative_step=float(step.max()),
+                            crossing_count=len(letters), branch_flip=bit)
     return ClassificationResult(
         word=word,
         matrix_even=representation.matrix_of(word, Parity.EVEN),

@@ -79,11 +79,11 @@ def verify_orbit_claim(box_radius: int, max_word_len: int, parity: Parity,
         raise ValueError("box_radius must be >= 1")
     reached = orbit_bfs(start, parity, max_word_len)
     level = abs(start[0] - start[1])
+    # The lines v = u - s for s = +-level, with u clipped so v stays in the box.
     claimed = frozenset(
-        (u, v)
-        for u in range(-box_radius, box_radius + 1)
-        for v in range(-box_radius, box_radius + 1)
-        if abs(u - v) == level
+        (u, u - s)
+        for s in {level, -level}
+        for u in range(max(-box_radius, s - box_radius), min(box_radius, s + box_radius) + 1)
     )
     missing = claimed - reached
     extraneous = frozenset(p for p in reached if abs(p[0] - p[1]) != level)

@@ -9,7 +9,9 @@ from qmono import group, loops
 from qmono.errors import (
     AsymptoticSample,
     BadParameters,
+    BadTolerance,
     DimensionTooSmall,
+    NonFiniteSample,
     NotClosed,
     NotGeneralPosition,
     PunctureCollision,
@@ -226,3 +228,193 @@ def test_classify_scale_invariant():
     scaled = HyperplaneLoop(4, tuple(h.scaled(factor) for h in base.samples),
                             closure_lambda=1.0)
     assert loops.classify(scaled).word == word("b")
+
+
+# --- the array pass reproduces the per-sample classifier ----------------
+#
+# Word, crossing_count, branch_flip, min_discriminant_margin and
+# max_relative_step as the earlier per-sample implementation (one
+# Hyperplane.normalized() object per sample and stage) gave them.
+
+def wobbly_loop(r, m=300):
+    """A loop of n = 3 hyperplanes whose direction wobbles off e1."""
+    u = (0.0, 0.3 + 0.2j, -0.1j)
+    v = (0.2j, 0.5, 0.25 - 0.1j)
+    samples = []
+    for j in range(m + 1):
+        t = 2 * math.pi * j / m
+        c = [1.0 + 0.4 * math.sin(t) * x + 0.3 * (1 - math.cos(t)) * y for x, y in zip(u, v)]
+        samples.append(Hyperplane(c, r * (1 - math.cos(t)) / 2 + 0.8j * math.sin(t)))
+    return HyperplaneLoop(3, tuple(samples), closure_lambda=1.0)
+
+
+PER_SAMPLE_FIXTURES = {
+    "alpha": (loops.make_alpha_loop, ("a", 1, 0, 0.4375, 0.0)),
+    "beta": (loops.make_beta_loop, ("b", 1, 0, 0.4375, 0.0)),
+    "kappa": (loops.make_kappa_loop, ("k", 0, 1, 0.9999999999999998, 4.440892098500626e-16)),
+    "constant": (loops.make_constant_loop, ("", 0, 0, 1.0, 0.0)),
+    "wobbly+": (lambda n: wobbly_loop(2.5),
+                ("a^-1", 1, 0, 0.5071379696566809, 0.0007599084896935002)),
+    "wobbly-": (lambda n: wobbly_loop(-2.5),
+                ("b", 1, 0, 0.5506711394388082, 0.0007599084896935002)),
+}
+
+# Composites of four 128-sample generator pieces in n = 4, each piece
+# starting at the base hyperplane c = e1, d = 0.
+PER_SAMPLE_COMPOSITES = [
+    ("b a^-1 b^-1 k^-1", "b a^-1 b^-1 k", 3, 1, 0.4375, 4.440892098500626e-16),
+    ("a a k a", "a a b k", 3, 1, 0.4375, 4.440892098500626e-16),
+    ("b k a k", "b b", 2, 0, 0.4375, 4.440892098500626e-16),
+    ("a^-1 a a b^-1", "a b^-1", 4, 0, 0.4375, 0.0),
+    ("b^-1 a a^-1 a", "b^-1 a", 4, 0, 0.4375, 0.0),
+    ("k b^-1 a k", "a^-1 b", 2, 0, 0.4375, 4.440892098500626e-16),
+    ("a a^-1 k^-1 k^-1", "", 2, 0, 0.4375, 4.440892098500626e-16),
+    ("k a k k", "b k", 1, 1, 0.4375, 4.440892098500626e-16),
+    ("k a^-1 b b^-1", "b^-1 k", 3, 1, 0.4375, 4.440892098500626e-16),
+    ("a^-1 k a k", "a^-1 b", 2, 0, 0.4375, 4.440892098500626e-16),
+    ("b k k^-1 a^-1", "b a^-1", 2, 0, 0.4375, 4.440892098500626e-16),
+    ("a k k k^-1", "a k", 1, 1, 0.4375, 4.440892098500626e-16),
+    ("a^-1 b a k", "a^-1 b a k", 3, 1, 0.4375, 4.440892098500626e-16),
+    ("k^-1 a k a", "b a", 2, 0, 0.4375, 4.440892098500626e-16),
+    ("k a^-1 b^-1 k^-1", "b^-1 a^-1", 2, 0, 0.4375, 4.440892098500626e-16),
+    ("k b^-1 b b^-1", "a^-1 k", 3, 1, 0.4375, 4.440892098500626e-16),
+    ("k b^-1 b b", "a k", 3, 1, 0.4375, 4.440892098500626e-16),
+    ("a^-1 a^-1 k^-1 a^-1", "a^-1 a^-1 b^-1 k", 3, 1, 0.4375, 4.440892098500626e-16),
+    ("a k b k", "a a", 2, 0, 0.4375, 4.440892098500626e-16),
+    ("b b^-1 k a", "b k", 3, 1, 0.4375, 4.440892098500626e-16),
+]
+
+
+def generator_pieces(n, m):
+    pieces = {}
+    for name, maker in (("a", loops.make_alpha_loop), ("b", loops.make_beta_loop),
+                        ("k", loops.make_kappa_loop)):
+        forward = maker(n, m=m)
+        backward = loops.reverse(forward)
+        if backward.samples[0].c[0].real < 0:
+            # the reversed kappa loop starts at -e1; the same hyperplanes
+            # scaled by -1 start at e1
+            backward = HyperplaneLoop(n, tuple(h.scaled(-1) for h in backward.samples),
+                                      backward.closure_lambda)
+        pieces[name], pieces[name + "^-1"] = forward, backward
+    return pieces
+
+
+def assert_diagnostics(loop, expected):
+    text, crossings, flip, margin, step = expected
+    res = loops.classify(loop)
+    d = res.diagnostics
+    assert res.word == word(text)
+    assert (d.crossing_count, d.branch_flip) == (crossings, flip)
+    assert d.min_discriminant_margin == pytest.approx(margin, abs=1e-12)
+    assert d.max_relative_step == pytest.approx(step, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(PER_SAMPLE_FIXTURES))
+def test_classify_matches_per_sample_fixture(name):
+    maker, expected = PER_SAMPLE_FIXTURES[name]
+    assert_diagnostics(maker(4), expected)
+
+
+def test_classify_matches_per_sample_composites():
+    pieces = generator_pieces(4, 128)
+    for draw, *expected in PER_SAMPLE_COMPOSITES:
+        names = draw.split()
+        whole = pieces[names[0]]
+        for name in names[1:]:
+            whole = loops.concat(whole, pieces[name])
+        assert_diagnostics(whole, expected)
+
+
+def test_classify_builds_no_per_sample_objects(monkeypatch):
+    def refuse(self):
+        raise AssertionError("classify normalized a sample object")
+
+    monkeypatch.setattr(Hyperplane, "normalized", refuse)
+    assert loops.classify(loops.make_kappa_loop(4)).word == word("k")
+    assert loops.kappa_bit(loops.make_kappa_loop(4)) == 1
+    assert loops.fiber_word(loops.make_alpha_loop(4)) == ((ALPHA, 1),)
+
+
+# --- every refusal names its first offending sample ---------------------
+
+def line_loop(ds, cs=None):
+    cs = cs or [[1.0, 0, 0]] * len(ds)
+    return HyperplaneLoop(3, tuple(Hyperplane(c, d) for c, d in zip(cs, ds)),
+                          closure_lambda=1.0)
+
+
+def with_sample(loop, i, h):
+    samples = list(loop.samples)
+    samples[i] = h
+    return HyperplaneLoop(loop.n, tuple(samples), loop.closure_lambda)
+
+
+def alpha_with(i, c=None, d=None):
+    base = loops.make_alpha_loop(4)
+    h = base.samples[i]
+    return with_sample(base, i, Hyperplane(h.c if c is None else c, h.d if d is None else d))
+
+
+e1 = [1.0, 0, 0]
+REJECTIONS = {
+    "tangent": (lambda: line_loop([t / 64 for t in range(65)] + [(64 - t) / 64 for t in range(1, 65)]),
+                NotGeneralPosition, 64),
+    "nan-c": (lambda: alpha_with(100, c=[math.nan, 0, 0, 0]), NonFiniteSample, 100),
+    "inf-d": (lambda: alpha_with(100, d=complex(math.inf, 0)), NonFiniteSample, 100),
+    "nan-d-and-tangent": (lambda: with_sample(alpha_with(100, d=complex(0, math.nan)), 50,
+                                              Hyperplane([1, 0, 0, 0], 1.0)),
+                          NonFiniteSample, 100),
+    "subnormal-c": (lambda: with_sample(loops.make_alpha_loop(4), 100,
+                                        loops.make_alpha_loop(4).samples[100].scaled(1e-320)),
+                    NonFiniteSample, 100),
+    "open": (lambda: HyperplaneLoop(3, loops.make_alpha_loop(3).samples[:-40]),
+             NotClosed, 216),
+    "puncture": (lambda: line_loop([0, 0.4, 0.8, 1.2, 1.6, 1.2, 0.8, 0.4, 0]),
+                 PunctureCollision, 3),
+    "q-step": (lambda: line_loop([0] * 6, [e1, e1, e1, [1, 2j, 0], e1, e1]),
+               UndersampledLoop, 2),
+    "fiber-step": (lambda: line_loop([0, 0.3, 0.6, 0.6 + 0.5j, 0.3, 0]),
+                   UndersampledLoop, 2),
+}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+    if name == "subnormal-c" else name for name in sorted(REJECTIONS)])
+def test_classify_rejection_index(name):
+    make, error, index = REJECTIONS[name]
+    with pytest.raises(error) as info:
+        loops.classify(make())
+    assert info.value.index == index
+    assert f"{index}" in str(info.value)
+
+
+def test_classify_extreme_scale_sample():
+    # |c|^2 underflows at 1e-300 and overflows at 1e200; the hyperplane
+    # is the same and so is the class
+    for factor in (1e-300, 1e200):
+        loop = loops.make_alpha_loop(4)
+        loop = with_sample(loop, 100, loop.samples[100].scaled(factor))
+        assert loops.classify(loop).word == word("a")
+
+
+def test_branch_rejection_index():
+    with pytest.raises(UndersampledLoop) as info:
+        loops.continue_sqrt_branch([1.0, 1.0, -1.0])
+    assert info.value.index == 1
+    with pytest.raises(AsymptoticSample) as info:
+        loops.continue_sqrt_branch([1.0, 1.0, 1e-12])
+    assert info.value.index == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "1", "inf", "abc"])
+def test_bad_tolerance_env_refused(monkeypatch, value):
+    monkeypatch.setenv("QMONO_TOL", value)
+    with pytest.raises(BadTolerance):
+        loops.classify(loops.make_alpha_loop(4))
+
+
+def test_tolerance_env_override(monkeypatch):
+    monkeypatch.setenv("QMONO_TOL", "1e-6")
+    assert loops.classify(loops.make_alpha_loop(4)).word == word("a")

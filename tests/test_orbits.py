@@ -69,3 +69,12 @@ def test_claim_validates_parameters():
         verify_orbit_claim(0, 6, EVEN)
     with pytest.raises(ValueError):
         orbit_bfs((1, 0), EVEN, -1)
+
+
+def test_claimed_set_is_the_line_pair_in_the_box():
+    for radius in (1, 3, 8):
+        for start in [(1, 0), (0, 0), (2, -3), (0, 2 * radius), (0, 2 * radius + 1)]:
+            level = abs(start[0] - start[1])
+            scan = {(u, v) for u in range(-radius, radius + 1)
+                    for v in range(-radius, radius + 1) if abs(u - v) == level}
+            assert verify_orbit_claim(radius, 2, EVEN, start=start).claimed == scan
