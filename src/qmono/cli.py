@@ -126,7 +126,7 @@ def _cmd_classify(args) -> int:
     with open(args.loop_file) as fh:
         try:
             loop = loops.loop_from_dict(json.load(fh))
-        except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+        except (IndexError, KeyError, OverflowError, RecursionError, TypeError,
                 ValueError) as exc:  # not JSON, or not the loop format
             raise MalformedLoopFile(f"{args.loop_file}: {type(exc).__name__}: {exc}") from None
     if args.n is not None and args.n != loop.n:

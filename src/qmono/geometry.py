@@ -20,17 +20,25 @@ from .errors import BadTolerance, ZeroCoefficientVector
 DEFAULT_TOL = 1e-9
 
 
-def default_tol() -> float:
-    """Default tolerance, overridable through the QMONO_TOL env var by a
-    number with 0 < tol < 1 (a NaN would switch every check off)."""
-    value = os.environ.get("QMONO_TOL")
+def default_tol(tol: float | None = None) -> float:
+    """tol, else the QMONO_TOL env var, else DEFAULT_TOL; anything but a number
+    with 0 < tol < 1 raises BadTolerance (a NaN would switch every check off)."""
+    given = (os.environ.get("QMONO_TOL") or DEFAULT_TOL) if tol is None else tol
     try:
-        tol = float(value) if value else DEFAULT_TOL
-    except ValueError:
-        tol = float("nan")
-    if not 0.0 < tol < 1.0:
-        raise BadTolerance(f"QMONO_TOL must be a number with 0 < tol < 1, got {value!r}")
-    return tol
+        value = float(given)
+    except (TypeError, ValueError):
+        value = float("nan")
+    if not 0.0 < value < 1.0:
+        name = "QMONO_TOL" if tol is None else "tol"
+        raise BadTolerance(f"{name} must be a number with 0 < tol < 1, got {given!r}")
+    return value
+
+
+def inverse_norm(c: np.ndarray) -> np.ndarray:
+    """1 / |c| along the last axis, as 1 / (top |c / top|) with top = max |c_i|,
+    which neither overflows nor underflows."""
+    top = np.abs(c).max(axis=-1, keepdims=True)
+    return 1.0 / (top[..., 0] * np.linalg.norm(c / top, axis=-1))
 
 
 class Hyperplane:
@@ -58,23 +66,7 @@ class Hyperplane:
 
     def normalized(self) -> "Hyperplane":
         """Representative with |c| = 1 (Hermitian norm; positive real scale)."""
-        return self.scaled(1.0 / np.linalg.norm(self.c))
-
-    def coefficient_vector(self) -> np.ndarray:
-        """Coefficients and offset stacked as one vector, for scale fitting."""
-        return np.append(self.c, self.d)
-
-    def to_dict(self) -> dict:
-        return {
-            "c": [[z.real, z.imag] for z in self.c],
-            "d": [self.d.real, self.d.imag],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Hyperplane":
-        c = [complex(re, im) for re, im in data["c"]]
-        re, im = data["d"]
-        return cls(c, complex(re, im))
+        return self.scaled(float(inverse_norm(self.c)))
 
     def __repr__(self) -> str:
         return f"Hyperplane(c={self.c!r}, d={self.d!r})"
@@ -96,10 +88,8 @@ def incidence(c: np.ndarray, d: np.ndarray, tol: float | None = None) -> Inciden
     q = sum c_i^2, the offset d, the masks tangent (d^2 = q) and asymptotic
     (q = 0) within tol, and the discriminant distance proxy
     margin = min(|d^2 - q|, |q|)."""
-    tol = default_tol() if tol is None else tol
-    # |c| = top |c / top| with top = max |c_i| neither overflows nor underflows.
-    top = np.abs(c).max(axis=1)
-    inv = 1.0 / (top * np.linalg.norm(c / top[:, None], axis=1))
+    tol = default_tol(tol)
+    inv = inverse_norm(c)
     cn = c * inv[:, None]
     q = np.sum(cn * cn, axis=1)
     dn = d * inv

@@ -8,13 +8,13 @@ of the loop is a kappa bit, set when s returns to -lambda s_0 instead
 of +lambda s_0 (the punctures swapped after transport), and the free
 crossing word of w_t in C \\ {+1, -1}, cut along (1, +inf) and (-inf, -1).
 
-`classify` stacks the samples once into c: (m, n) and d: (m,) for one
-array pass.  With principal roots r_i = sqrt(q_i), s_i = eps_i r_i where
-eps_0 = 1 and eps_{i+1} = eps_i sign(Re(r_{i+1} conj(r_i))); the q-step
-check |q_{i+1} - q_i| < |q_i| keeps r_{i+1} / r_i within pi/4 of +-1,
-so the sign never ties.  A refusal names the first offending sample;
-the checks run in the order non-finite, general position, closure,
-q-step, branch endpoint, puncture collision, fiber step.
+A loop is held once as read-only arrays `loop.samples.c`: (m, n) and
+`loop.samples.d`: (m,), which `classify` reads in one pass.  With roots r_i =
+sqrt(q_i), s_i = eps_i r_i where eps_0 = 1 and eps_{i+1} = eps_i
+sign(Re(r_{i+1} conj(r_i))); the q-step check |q_{i+1} - q_i| < |q_i| keeps
+r_{i+1} / r_i within pi/4 of +-1, so the sign never ties.  A refusal names
+the first offending sample; the checks run in the order non-finite, general
+position, closure, q-step, branch endpoint, puncture collision, fiber step.
 
 Crossing conventions are fixed so that the model generator loops
 (counterclockwise around +1, counterclockwise around -1, and the
@@ -24,7 +24,6 @@ respectively; the fixture tests pin them.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -34,8 +33,8 @@ import numpy as np
 from . import group, representation
 from .errors import (AsymptoticSample, BadParameters, BranchAmbiguity, DimensionTooSmall,
                      NonFiniteSample, NotClosed, NotGeneralPosition, PunctureCollision,
-                     UndersampledLoop)
-from .geometry import Hyperplane, Incidence, default_tol, incidence
+                     UndersampledLoop, ZeroCoefficientVector)
+from .geometry import Hyperplane, Incidence, default_tol, incidence, inverse_norm
 from .group import FreeWord, GroupWord
 from .representation import MonodromyMatrix, Parity
 
@@ -44,26 +43,56 @@ from .representation import MonodromyMatrix, Parity
 _BRANCH_MATCH_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
-class HyperplaneLoop:
-    """Closed sampled path of hyperplanes with explicit closure scale.
+class LoopSamples(Sequence):
+    """A loop's samples as read-only rows c: (m, n) and offsets d: (m,).
+    An item is a Hyperplane built on access; a slice is a LoopSamples."""
 
-    The last sample must equal closure_lambda times the first (up to
-    tolerance); closure_lambda = None means "infer by least squares".
-    """
+    def __init__(self, c, d):
+        self.c, self.d = np.asarray(c, dtype=complex).view(), np.asarray(d, dtype=complex).view()
+        if self.c.ndim != 2 or self.d.shape != self.c.shape[:1]:
+            raise BadParameters(f"need c: (m, n) and d: (m,), got {self.c.shape} and {self.d.shape}")
+        self.c.flags.writeable = self.d.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.d)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return LoopSamples(self.c[i], self.d[i])
+        return Hyperplane(self.c[i], self.d[i])
+
+
+def _check_shape(n: int, m: int, sizes: Sequence[int]) -> None:
+    """Refuse n < 3, m < 2 samples, or a sample whose size is not n."""
+    if n < 3:
+        raise DimensionTooSmall(f"loop classification needs n >= 3, got {n}")
+    if m < 2:
+        raise BadParameters("a loop needs at least two samples")
+    for i, k in enumerate(sizes):
+        if k != n:
+            error = ZeroCoefficientVector if k == 0 else BadParameters
+            raise error(f"sample {i} has dimension {k}, expected {n}")
+
+
+@dataclass(frozen=True, eq=False)
+class HyperplaneLoop:
+    """Closed sampled path of hyperplanes: the last sample must equal
+    closure_lambda times the first (up to tolerance), or None infers it by
+    least squares.  Samples given as Hyperplanes are stacked into LoopSamples."""
 
     n: int
-    samples: Tuple[Hyperplane, ...]
+    samples: Sequence[Hyperplane]
     closure_lambda: Optional[complex] = None
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise DimensionTooSmall(f"loop classification needs n >= 3, got {self.n}")
-        if len(self.samples) < 2:
-            raise BadParameters("a loop needs at least two samples")
-        for i, h in enumerate(self.samples):
-            if h.n != self.n:
-                raise BadParameters(f"sample {i} has dimension {h.n}, expected {self.n}")
+        s = self.samples
+        if not isinstance(s, LoopSamples):
+            _check_shape(self.n, len(s), [h.n for h in s])
+            object.__setattr__(self, "samples", LoopSamples([h.c for h in s], [h.d for h in s]))
+        _check_shape(self.n, len(self.samples), self.samples.c.shape[1:])
+        zero = ~np.any(self.samples.c, axis=1)
+        if zero.any():
+            raise ZeroCoefficientVector(f"coefficient vector of sample {np.argmax(zero)} is zero")
 
 
 @dataclass(frozen=True)
@@ -109,8 +138,13 @@ def continue_sqrt_branch(q_samples: Sequence[complex],
     next q nearer to the previous s.  Requires relative steps < 1 so
     the nearer root is unambiguous.
     """
-    tol = default_tol() if tol is None else tol
-    return _sqrt_branch(np.asarray(q_samples, dtype=complex), tol)[0].tolist()
+    return _sqrt_branch(np.asarray(q_samples, dtype=complex), default_tol(tol))[0].tolist()
+
+
+def _scale_fit(u: np.ndarray, v: np.ndarray, mu: complex | None = None) -> Tuple[complex, float]:
+    """mu with v = mu u (least squares unless given) and max |v - mu u|."""
+    mu = complex(np.vdot(u, v) / np.vdot(u, u)) if mu is None else mu
+    return mu, float(np.max(np.abs(v - mu * u)))
 
 
 def closure_scale(loop: HyperplaneLoop, tol: float | None = None) -> complex:
@@ -119,27 +153,21 @@ def closure_scale(loop: HyperplaneLoop, tol: float | None = None) -> complex:
     Uses the explicit closure_lambda when present (validated), else the
     least-squares fit; raises NotClosed when the residual exceeds tol.
     """
-    tol = default_tol() if tol is None else tol
-    last = len(loop.samples) - 1
-    v0 = loop.samples[0].coefficient_vector()
-    vm = loop.samples[-1].coefficient_vector()
-    scale = float(np.linalg.norm(v0))
-    if loop.closure_lambda is not None:
-        lam = complex(loop.closure_lambda)
-        if lam == 0:
-            raise NotClosed(last, f"closure_lambda must be nonzero (sample {last})")
-    else:
-        lam = complex(np.vdot(v0, vm) / np.vdot(v0, v0))
-    residual = float(np.max(np.abs(vm - lam * v0)))
-    if residual > tol * scale:
+    tol = default_tol(tol)
+    c, d, last = loop.samples.c, loop.samples.d, len(loop.samples) - 1
+    v0 = np.append(c[0], d[0])
+    lam = loop.closure_lambda
+    if lam is not None and complex(lam) == 0:
+        raise NotClosed(last, f"closure_lambda must be nonzero (sample {last})")
+    lam, residual = _scale_fit(v0, np.append(c[-1], d[-1]), None if lam is None else complex(lam))
+    if residual > tol * float(np.linalg.norm(v0)):
         raise NotClosed(last, f"closure residual {residual:.3g} at sample {last} exceeds tolerance")
     return lam
 
 
-def _stacked_incidence(loop: HyperplaneLoop, tol: float) -> Incidence:
-    """Stack the samples into c: (m, n) and d: (m,) and evaluate them."""
-    c = np.array([h.c for h in loop.samples])
-    d = np.array([h.d for h in loop.samples])
+def _incidence(loop: HyperplaneLoop, tol: float) -> Incidence:
+    """Refuse non-finite samples and evaluate the rest at |c| = 1."""
+    c, d = loop.samples.c, loop.samples.d
     _refuse(~(np.isfinite(c).all(axis=1) & np.isfinite(d)), NonFiniteSample,
             "sample {i} has a non-finite coefficient or offset")
     inc = incidence(c, d, tol)
@@ -152,8 +180,8 @@ def _stacked_incidence(loop: HyperplaneLoop, tol: float) -> Incidence:
 def _normalized_closure(loop: HyperplaneLoop, tol: float) -> complex:
     # Per-sample normalization rescales the endpoints by positive reals,
     # so the closure factor picks up the ratio of coefficient norms.
-    ratio = np.linalg.norm(loop.samples[0].c) / np.linalg.norm(loop.samples[-1].c)
-    return closure_scale(loop, tol) * float(ratio)
+    inv = inverse_norm(loop.samples.c[[0, -1]])
+    return closure_scale(loop, tol) * float(inv[1] / inv[0])
 
 
 def _branch_bit(lam: complex, branch: np.ndarray) -> int:
@@ -172,8 +200,8 @@ def _branch_bit(lam: complex, branch: np.ndarray) -> int:
 
 def kappa_bit(loop: HyperplaneLoop, tol: float | None = None) -> int:
     """0 if the sqrt branch closes up to lambda, 1 if it flips sign."""
-    tol = default_tol() if tol is None else tol
-    inc = _stacked_incidence(loop, tol)
+    tol = default_tol(tol)
+    inc = _incidence(loop, tol)
     lam = _normalized_closure(loop, tol)
     return _branch_bit(lam, _sqrt_branch(inc.q, tol)[0])
 
@@ -209,15 +237,15 @@ def _fiber_letters(w: np.ndarray, tol: float) -> List[group.Letter]:
 
 def fiber_word(loop: HyperplaneLoop, tol: float | None = None) -> FreeWord:
     """Crossing word of the fiber path w_t = d_t / s_t, freely reduced."""
-    tol = default_tol() if tol is None else tol
-    inc = _stacked_incidence(loop, tol)
+    tol = default_tol(tol)
+    inc = _incidence(loop, tol)
     return group.free_reduce(_fiber_letters(inc.d / _sqrt_branch(inc.q, tol)[0], tol))
 
 
 def classify(loop: HyperplaneLoop, tol: float | None = None) -> ClassificationResult:
     """Group element of a sampled loop, with matrices and diagnostics."""
-    tol = default_tol() if tol is None else tol
-    inc = _stacked_incidence(loop, tol)
+    tol = default_tol(tol)
+    inc = _incidence(loop, tol)
     _refuse(inc.tangent | inc.asymptotic, NotGeneralPosition, "sample {i} is not in general position")
     lam = _normalized_closure(loop, tol)
     branch, step = _sqrt_branch(inc.q, tol)
@@ -238,106 +266,78 @@ def classify(loop: HyperplaneLoop, tol: float | None = None) -> ClassificationRe
 # ---------------------------------------------------------------------------
 # Fixture loops: the model generator representatives, sampled.
 
-def _base_direction(n: int) -> np.ndarray:
-    c = np.zeros(n, dtype=complex)
-    c[0] = 1.0
-    return c
+def _pencil_loop(n: int, c1, c2, d, closure_lambda: float) -> HyperplaneLoop:
+    """The loop of hyperplanes c1_t z1 + c2_t z2 = d_t."""
+    _check_shape(n, len(d), ())  # before building rows of width n
+    c = np.zeros((len(d), n), dtype=complex)
+    c[:, 0], c[:, 1] = c1, c2
+    return HyperplaneLoop(n, LoopSamples(c, d), closure_lambda)
 
 
-def _check_fixture_params(eps: float, m: int) -> None:
+def _puncture_loop(n: int, center: float, eps: float, m: int) -> HyperplaneLoop:
+    """{z1 = d} with d going 0 -> center -+ eps, once ccw around center = +-1, -> 0."""
     if not 0.0 < eps < 1.0:
         raise BadParameters(f"eps must be in (0, 1), got {eps}")
     if m < 64:
         raise BadParameters(f"need at least 64 samples, got {m}")
-
-
-def _puncture_loop_offsets(center: float, eps: float, m: int) -> List[complex]:
-    """d-path 0 -> center -+ eps -> ccw circle around center -> 0."""
     approach = m // 4
     on_circle = m - 2 * approach
-    sign = 1.0 if center > 0 else -1.0
-    start_angle = math.pi if center > 0 else 0.0
-    inner = sign * (abs(center) - eps)
-    pts: List[complex] = []
-    for j in range(approach):
-        pts.append(complex(inner * j / approach))
-    for j in range(on_circle + 1):
-        angle = start_angle + 2.0 * math.pi * j / on_circle
-        pts.append(center + eps * cmath.exp(1j * angle))
-    for j in range(1, approach + 1):
-        pts.append(complex(inner * (approach - j) / approach))
-    return pts
+    ramp = center * (1.0 - eps) * np.arange(approach) / approach
+    angle = (math.pi if center > 0 else 0.0) + 2.0 * math.pi * np.arange(on_circle + 1) / on_circle
+    d = np.concatenate((ramp, center + eps * np.exp(1j * angle), ramp[::-1]))
+    return _pencil_loop(n, 1.0, 0.0, d, 1.0)
 
 
 def make_alpha_loop(n: int, eps: float = 0.25, m: int = 256) -> HyperplaneLoop:
     """Counterclockwise loop of {z1 = d} around the tangency value +1."""
-    _check_fixture_params(eps, m)
-    c = _base_direction(n)
-    samples = tuple(Hyperplane(c, d) for d in _puncture_loop_offsets(1.0, eps, m))
-    return HyperplaneLoop(n, samples, closure_lambda=1.0)
+    return _puncture_loop(n, 1.0, eps, m)
 
 
 def make_beta_loop(n: int, eps: float = 0.25, m: int = 256) -> HyperplaneLoop:
     """Counterclockwise loop of {z1 = d} around the tangency value -1."""
-    _check_fixture_params(eps, m)
-    c = _base_direction(n)
-    samples = tuple(Hyperplane(c, d) for d in _puncture_loop_offsets(-1.0, eps, m))
-    return HyperplaneLoop(n, samples, closure_lambda=1.0)
+    return _puncture_loop(n, -1.0, eps, m)
 
 
 def make_kappa_loop(n: int, m: int = 256) -> HyperplaneLoop:
     """Rotating pencil (cos t) z1 + (sin t) z2 = 0, t from 0 to pi."""
     if m < 64:
         raise BadParameters(f"need at least 64 samples, got {m}")
-    samples = []
-    for j in range(m + 1):
-        t = math.pi * j / m
-        c = np.zeros(n, dtype=complex)
-        c[0] = math.cos(t)
-        c[1] = math.sin(t)
-        samples.append(Hyperplane(c, 0.0))
-    return HyperplaneLoop(n, tuple(samples), closure_lambda=-1.0)
+    t = math.pi * np.arange(m + 1) / m
+    return _pencil_loop(n, np.cos(t), np.sin(t), np.zeros(m + 1), -1.0)
 
 
 def make_constant_loop(n: int, m: int = 64) -> HyperplaneLoop:
     """Constant loop at the base hyperplane {z1 = 0}."""
-    h = Hyperplane(_base_direction(n), 0.0)
-    return HyperplaneLoop(n, tuple(h for _ in range(m + 1)), closure_lambda=1.0)
+    return _pencil_loop(n, 1.0, 0.0, np.zeros(m + 1), 1.0)
 
 
 def concat(l1: HyperplaneLoop, l2: HyperplaneLoop,
            tol: float | None = None) -> HyperplaneLoop:
     """Concatenate loops sharing the base hyperplane up to scale."""
-    if tol is None:
-        tol = default_tol()
+    tol = default_tol(tol)
     if l1.n != l2.n:
         raise BadParameters("loops have different ambient dimensions")
-    v1 = l1.samples[-1].coefficient_vector()
-    v2 = l2.samples[0].coefficient_vector()
-    mu = complex(np.vdot(v2, v1) / np.vdot(v2, v2))
-    if mu == 0 or float(np.max(np.abs(v1 - mu * v2))) > tol * float(np.linalg.norm(v1)):
+    s1, s2 = l1.samples, l2.samples
+    v1 = np.append(s1.c[-1], s1.d[-1])
+    mu, residual = _scale_fit(np.append(s2.c[0], s2.d[0]), v1)
+    if mu == 0 or residual > tol * float(np.linalg.norm(v1)):
         raise BadParameters("loops do not share their junction hyperplane")
-    lam1 = closure_scale(l1, tol)
-    lam2 = closure_scale(l2, tol)
-    samples = l1.samples + tuple(h.scaled(mu) for h in l2.samples[1:])
-    return HyperplaneLoop(l1.n, samples, closure_lambda=lam1 * lam2)
+    samples = LoopSamples(np.concatenate((s1.c, mu * s2.c[1:])),
+                          np.concatenate((s1.d, mu * s2.d[1:])))
+    return HyperplaneLoop(l1.n, samples, closure_scale(l1, tol) * closure_scale(l2, tol))
 
 
 def reverse(loop: HyperplaneLoop, tol: float | None = None) -> HyperplaneLoop:
     """Orientation reversal; inverts the class and the closure factor."""
-    lam = closure_scale(loop, tol)
-    return HyperplaneLoop(loop.n, tuple(reversed(loop.samples)),
-                          closure_lambda=1.0 / lam)
+    return HyperplaneLoop(loop.n, loop.samples[::-1], 1.0 / closure_scale(loop, tol))
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format, shared with the CLI.
+# JSON wire format, shared with the CLI: complex numbers as [re, im] pairs.
 
 def loop_to_dict(loop: HyperplaneLoop) -> dict:
-    data = {
-        "n": loop.n,
-        "samples": [h.to_dict() for h in loop.samples],
-    }
+    c, d = (np.stack((z.real, z.imag), axis=-1).tolist() for z in (loop.samples.c, loop.samples.d))
+    data = {"n": loop.n, "samples": [{"c": ci, "d": di} for ci, di in zip(c, d)]}
     if loop.closure_lambda is not None:
         lam = complex(loop.closure_lambda)
         data["closure_lambda"] = [lam.real, lam.imag]
@@ -345,8 +345,18 @@ def loop_to_dict(loop: HyperplaneLoop) -> dict:
 
 
 def loop_from_dict(data: dict) -> HyperplaneLoop:
-    samples = tuple(Hyperplane.from_dict(s) for s in data["samples"])
+    """Inverse of loop_to_dict.  A document outside the format raises
+    KeyError, TypeError or ValueError; non-finite numbers are left for
+    classify to refuse."""
+    samples = data["samples"]
+    sizes = [len(s["c"]) for s in samples]
+    # Each sample's coefficient pairs, then its offset pair.
+    pairs = np.array([p for s in samples for p in (*s["c"], s["d"])] or np.zeros((0, 2)))
+    if pairs.dtype.kind not in "biuf" or pairs.shape[1:] != (2,):
+        raise ValueError("expected [re, im] pairs of numbers")
     lam = data.get("closure_lambda")
-    if lam is not None:
-        lam = complex(lam[0], lam[1])
-    return HyperplaneLoop(int(data["n"]), samples, closure_lambda=lam)
+    lam = None if lam is None else complex(lam[0], lam[1])
+    n = int(data["n"])
+    _check_shape(n, len(sizes), sizes)
+    z = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1, n + 1)
+    return HyperplaneLoop(n, LoopSamples(z[:, :n], z[:, n]), closure_lambda=lam)

@@ -16,6 +16,7 @@ from qmono.errors import (
     NotGeneralPosition,
     PunctureCollision,
     UndersampledLoop,
+    ZeroCoefficientVector,
 )
 from qmono.geometry import Hyperplane
 from qmono.group import ALPHA, BETA
@@ -327,13 +328,69 @@ def test_classify_matches_per_sample_composites():
 
 
 def test_classify_builds_no_per_sample_objects(monkeypatch):
-    def refuse(self):
-        raise AssertionError("classify normalized a sample object")
+    def refuse(self, *args):
+        raise AssertionError("a loop operation built or normalized a sample object")
 
     monkeypatch.setattr(Hyperplane, "normalized", refuse)
+    monkeypatch.setattr(Hyperplane, "__init__", refuse)
     assert loops.classify(loops.make_kappa_loop(4)).word == word("k")
     assert loops.kappa_bit(loops.make_kappa_loop(4)) == 1
     assert loops.fiber_word(loops.make_alpha_loop(4)) == ((ALPHA, 1),)
+    a, b = loops.make_alpha_loop(4, m=128), loops.make_beta_loop(4, m=128)
+    k, e = loops.make_kappa_loop(4, m=128), loops.make_constant_loop(4)
+    whole = loops.concat(loops.concat(loops.concat(a, loops.reverse(b)), k), e)
+    back = loops.loop_from_dict(loops.loop_to_dict(whole))
+    assert loops.classify(back).word == word("a b^-1 k")
+    assert loops.kappa_bit(back) == 1
+    assert loops.fiber_word(back) == ((ALPHA, 1), (BETA, -1))
+
+
+# --- a loop is held as arrays --------------------------------------------
+
+def test_loop_holds_read_only_arrays():
+    rows = [Hyperplane([1.0, 0.1 * t, 0], 0.5j * t) for t in range(5)]
+    loop = HyperplaneLoop(3, rows)
+    assert loop.samples.c.shape == (5, 3) and loop.samples.d.shape == (5,)
+    assert loop.samples.c.dtype == complex and loop.samples.d.dtype == complex
+    assert len(loop.samples) == 5
+    assert np.array_equal(loop.samples.c[2], rows[2].c) and loop.samples.d[2] == rows[2].d
+    item = loop.samples[-1]
+    assert isinstance(item, Hyperplane) and item.d == rows[-1].d
+    part = loop.samples[1:4]
+    assert isinstance(part, loops.LoopSamples) and np.array_equal(part.d, loop.samples.d[1:4])
+    assert [h.d for h in loop.samples] == [h.d for h in rows]
+    for array in (loop.samples.c, loop.samples.d, loop.samples[::-1].c):
+        with pytest.raises(ValueError):
+            array[0] = 7.0
+    # equality is identity: two loops of the same samples are distinct objects
+    assert loop != HyperplaneLoop(3, rows) and loop == loop
+
+
+def test_loop_shape_refused():
+    c = np.tile([1.0 + 0j, 0, 0], (4, 1))
+    with pytest.raises(DimensionTooSmall):
+        HyperplaneLoop(2, loops.LoopSamples(c[:, :2], np.zeros(4)))
+    with pytest.raises(BadParameters):
+        HyperplaneLoop(3, loops.LoopSamples(c[:1], np.zeros(1)))
+    with pytest.raises(BadParameters, match="sample 0 has dimension 3, expected 4"):
+        HyperplaneLoop(4, loops.LoopSamples(c, np.zeros(4)))
+    with pytest.raises(BadParameters, match="sample 2 has dimension 2, expected 3"):
+        HyperplaneLoop(3, [Hyperplane(h, 0) for h in ([1, 0, 0], [1, 0, 0], [1, 0], [1, 0, 0])])
+    with pytest.raises(BadParameters):
+        loops.LoopSamples(c, np.zeros(3))
+    with pytest.raises(BadParameters):
+        loops.LoopSamples(c[0], np.zeros(1))
+    c[2] = 0
+    with pytest.raises(ZeroCoefficientVector, match="sample 2"):
+        HyperplaneLoop(3, loops.LoopSamples(c, np.zeros(4)))
+
+
+def test_makers_refuse_small_dimension():
+    for n in (-1, 0, 1, 2):
+        for make in (loops.make_alpha_loop, loops.make_beta_loop, loops.make_kappa_loop,
+                     loops.make_constant_loop):
+            with pytest.raises(DimensionTooSmall):
+                make(n)
 
 
 # --- every refusal names its first offending sample ---------------------
@@ -413,6 +470,16 @@ def test_bad_tolerance_env_refused(monkeypatch, value):
     monkeypatch.setenv("QMONO_TOL", value)
     with pytest.raises(BadTolerance):
         loops.classify(loops.make_alpha_loop(4))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1.0, math.inf])
+def test_bad_tolerance_argument_refused(tol):
+    tangent = REJECTIONS["tangent"][0]()
+    for call in (loops.classify, loops.kappa_bit, loops.fiber_word, loops.closure_scale,
+                 lambda loop, tol: loops.concat(loop, loop, tol),
+                 lambda loop, tol: loops.continue_sqrt_branch([1.0, 1.0], tol)):
+        with pytest.raises(BadTolerance, match="tol must be"):
+            call(tangent, tol=tol)
 
 
 def test_tolerance_env_override(monkeypatch):

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -5,7 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from qmono import loops
 from qmono.cli import main
 
 
@@ -145,6 +151,8 @@ def test_classify_non_finite_sample_refused(capsys, tmp_path):
     '{"n": "three", "samples": []}',
     '{"n": 3, "samples": [], "closure_lambda": 1.0}',
     "[1, 2]",
+    # deeper than the JSON decoder's recursion limit
+    pytest.param('{"n": 3, "samples": ' + "[" * 5000 + "]" * 5000 + "}", id="deeply-nested"),
 ])
 def test_classify_malformed_file_refused(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
@@ -190,3 +198,133 @@ def test_group_commands_do_not_import_numpy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "b k"
+
+
+def alpha_document():
+    return loops.loop_to_dict(loops.make_alpha_loop(3, m=64))
+
+
+def set_c(i, value):
+    def edit(data):
+        data["samples"][i]["c"] = value
+    return edit
+
+
+def set_pair(i, j, value):
+    def edit(data):
+        data["samples"][i]["c"][j] = value
+    return edit
+
+
+def set_samples(data):
+    data["samples"] = []
+
+
+def set_n(data):
+    data["n"] = 4
+
+
+def set_big_d(data):
+    data["samples"][5]["d"] = ["BIG", 0.0]
+
+
+# The error class of each kind of malformed loop file.
+LOOP_FILE_REFUSALS = {
+    "no-samples": (set_samples, "BadParameters"),
+    "three-number-pair": (set_pair(5, 0, [1.0, 0.0, 0.0]), "MalformedLoopFile"),
+    "zero-c": (set_c(5, [[0, 0]] * 3), "ZeroCoefficientVector"),
+    "empty-c": (set_c(5, []), "ZeroCoefficientVector"),
+    "one-sample-of-dimension-2": (set_c(5, [[1.0, 0.0]] * 2), "BadParameters"),
+    "all-samples-of-dimension-3-in-n-4": (set_n, "BadParameters"),
+    "string-coordinate": (set_pair(5, 0, ["1", 0.0]), "MalformedLoopFile"),
+    "big-offset": (set_big_d, "NonFiniteSample"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_FILE_REFUSALS))
+def test_classify_loop_file_refusal_classes(capsys, tmp_path, name):
+    edit, error = LOOP_FILE_REFUSALS[name]
+    data = alpha_document()
+    edit(data)
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(data).replace('"BIG"', "1e400"))
+    code, _, err = run(capsys, "classify", str(path))
+    assert code == 1
+    assert err.startswith(f"error: {error}: ")
+
+
+# --- fuzz: every loop file gives a word or a named error ----------------
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=4) | st.sampled_from([0, 1, 3, 1e400, -1.0, "1"]))
+numbers = (st.floats() | st.integers(-3, 3)
+           | st.sampled_from([0.0, 1.0, -1.0, 1e-320, 1e-300, 1e200, 1e400]))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=12)
+loop_like = st.fixed_dictionaries({}, optional={"n": json_values, "samples": json_values,
+                                                "closure_lambda": json_values})
+
+
+def document_paths(node, prefix=()):
+    """Every key and index path inside a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from document_paths(child, prefix + (key,))
+
+
+ALPHA_DOCUMENT = alpha_document()
+ALPHA_PATHS = list(document_paths(ALPHA_DOCUMENT))
+
+
+@st.composite
+def mutated_documents(draw):
+    data = copy.deepcopy(ALPHA_DOCUMENT)
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, key = draw(st.sampled_from(ALPHA_PATHS))
+        node = data
+        try:
+            for parent in parents:
+                node = node[parent]
+            if draw(st.integers(0, 3)):
+                node[key] = draw(numbers | json_values)
+            else:
+                del node[key]
+        except (IndexError, KeyError, TypeError):
+            pass  # an earlier mutation removed or replaced this path
+    return data
+
+
+def classify_document(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["classify", str(path)])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+    event(err.getvalue().split(":")[1] if code else "classified")
+
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@FUZZ
+@given(data=json_values | loop_like)
+def test_classify_fuzz_arbitrary_json(tmp_path_factory, data):
+    classify_document(tmp_path_factory, data)
+
+
+@FUZZ
+@given(data=mutated_documents())
+def test_classify_fuzz_mutated_loop_file(tmp_path_factory, data):
+    classify_document(tmp_path_factory, data)

@@ -152,3 +152,12 @@ def test_normalized_representative():
     hn = h.normalized()
     assert np.linalg.norm(hn.c) == pytest.approx(1.0)
     assert hn.d == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-300])
+def test_normalized_at_extreme_scale(scale):
+    # |c|^2 overflows at 1e200 and underflows at 1e-300; |c| itself does not
+    hn = Hyperplane([scale, 0, 0], 0.5 * scale).normalized()
+    assert np.all(np.isfinite(hn.c)) and np.isfinite(hn.d)
+    assert np.allclose(hn.c, [1, 0, 0], rtol=0, atol=1e-15)
+    assert hn.d == pytest.approx(0.5, rel=1e-15)
