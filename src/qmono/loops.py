@@ -24,6 +24,7 @@ respectively; the fixture tests pin them.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -157,10 +158,11 @@ def closure_scale(loop: HyperplaneLoop, tol: float | None = None) -> complex:
     c, d, last = loop.samples.c, loop.samples.d, len(loop.samples) - 1
     v0 = np.append(c[0], d[0])
     lam = loop.closure_lambda
-    if lam is not None and complex(lam) == 0:
-        raise NotClosed(last, f"closure_lambda must be nonzero (sample {last})")
+    if lam is not None and not (cmath.isfinite(lam) and lam != 0):
+        raise NotClosed(last, f"closure_lambda must be finite and nonzero, got {lam} (sample {last})")
     lam, residual = _scale_fit(v0, np.append(c[-1], d[-1]), None if lam is None else complex(lam))
-    if residual > tol * float(np.linalg.norm(v0)):
+    # Written so that a NaN residual fails the test.
+    if not residual <= tol * float(np.linalg.norm(v0)):
         raise NotClosed(last, f"closure residual {residual:.3g} at sample {last} exceeds tolerance")
     return lam
 
@@ -320,7 +322,7 @@ def concat(l1: HyperplaneLoop, l2: HyperplaneLoop,
     s1, s2 = l1.samples, l2.samples
     v1 = np.append(s1.c[-1], s1.d[-1])
     mu, residual = _scale_fit(np.append(s2.c[0], s2.d[0]), v1)
-    if mu == 0 or residual > tol * float(np.linalg.norm(v1)):
+    if mu == 0 or not residual <= tol * float(np.linalg.norm(v1)):
         raise BadParameters("loops do not share their junction hyperplane")
     samples = LoopSamples(np.concatenate((s1.c, mu * s2.c[1:])),
                           np.concatenate((s1.d, mu * s2.d[1:])))

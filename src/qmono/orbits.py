@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet
 
 from .errors import OddParityClaim
-from .group import ALPHA, BETA, KAPPA
-from .representation import LatticePoint, Parity, generator_matrix
+from .representation import LETTER_ENTRIES, LatticePoint, Parity
 
 
 @dataclass(frozen=True)
@@ -33,17 +32,6 @@ class OrbitReport:
         return not self.missing and not self.extraneous
 
 
-def _step_matrices(parity: Parity):
-    mats = []
-    for label in (ALPHA, BETA, KAPPA):
-        m = generator_matrix(label, parity)
-        mats.append(m)
-        inv = m.inverse()
-        if inv != m:
-            mats.append(inv)
-    return mats
-
-
 def orbit_bfs(start: LatticePoint, parity: Parity,
               max_word_len: int) -> FrozenSet[LatticePoint]:
     """Closure of {start} under all generator matrices and inverses,
@@ -51,14 +39,14 @@ def orbit_bfs(start: LatticePoint, parity: Parity,
     """
     if max_word_len < 0:
         raise ValueError("max_word_len must be >= 0")
-    mats = _step_matrices(parity)
+    steps = set(LETTER_ENTRIES[parity].values())
     seen = {start}
     frontier = [start]
     for _ in range(max_word_len):
         nxt = []
-        for point in frontier:
-            for m in mats:
-                image = m.apply(point)
+        for u, v in frontier:
+            for m11, m12, m21, m22 in steps:
+                image = (m11 * u + m12 * v, m21 * u + m22 * v)
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)

@@ -93,15 +93,33 @@ def generator_matrix(label: str, parity: Parity) -> MonodromyMatrix:
     return table[label]
 
 
+def _letter_entries(table: dict) -> dict:
+    """(m11, m12, m21, m22) of each letter (gen, +-1) at one parity."""
+    entries = {}
+    for gen, m in table.items():
+        for exp, mat in ((1, m), (-1, m.inverse())):
+            entries[gen, exp] = (mat.m11, mat.m12, mat.m21, mat.m22)
+    return entries
+
+
+# Entries of each letter's matrix, and of its inverse, by parity.
+LETTER_ENTRIES = {Parity.EVEN: _letter_entries(_EVEN), Parity.ODD: _letter_entries(_ODD)}
+
+
 def matrix_of(g: GroupWord, parity: Parity) -> MonodromyMatrix:
-    """Matrix of a normal-form word: product of its letters' matrices."""
-    result = IDENTITY_MATRIX
-    for gen, exp in g.letters():
-        m = generator_matrix(gen, parity)
-        if exp == -1:
-            m = m.inverse()
-        result = result @ m
-    return result
+    """Matrix of a normal-form word: product of its letters' matrices.
+
+    The product is taken over four plain ints, one letter at a time.  At
+    even parity M_a and M_b are involutions and M_a M_b is parabolic, so
+    they generate an infinite dihedral group whose entries grow linearly
+    in the word length; at odd parity every entry is 0 or 1.
+    """
+    table = LETTER_ENTRIES[parity]
+    p, q, r, s = 1, 0, 0, 1
+    for letter in g.letters():
+        m11, m12, m21, m22 = table[letter]
+        p, q, r, s = p * m11 + q * m21, p * m12 + q * m22, r * m11 + s * m21, r * m12 + s * m22
+    return MonodromyMatrix(p, q, r, s)
 
 
 def apply(g: GroupWord, point: LatticePoint, parity: Parity) -> LatticePoint:

@@ -447,6 +447,33 @@ def test_classify_rejection_index(name):
     assert f"{index}" in str(info.value)
 
 
+@pytest.mark.parametrize("lam", [[1e400, 0], [math.nan, 0], [0, -1e400]])
+def test_non_finite_closure_factor_refused(lam):
+    # a NaN residual once passed the closure check, and the loop was
+    # refused later as BranchAmbiguity
+    data = loops.loop_to_dict(loops.make_alpha_loop(4, m=64))
+    data["closure_lambda"] = lam
+    loop = loops.loop_from_dict(data)
+    for call in (loops.classify, loops.closure_scale, loops.reverse,
+                 lambda loop: loops.concat(loop, loop)):
+        with pytest.raises(NotClosed, match="finite and nonzero") as info:
+            call(loop)
+        assert info.value.index == 64
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_concat_refuses_non_finite_junction_factor():
+    a = loops.make_alpha_loop(4)
+    # a NaN last sample makes the fitted junction factor NaN; a second
+    # loop scaled into the subnormal range makes it infinite
+    nan_end = with_sample(a, len(a.samples) - 1, Hyperplane([math.nan, 0, 0, 0], 0))
+    tiny = HyperplaneLoop(4, loops.LoopSamples(a.samples.c * 1e-320, a.samples.d * 1e-320),
+                          a.closure_lambda)
+    for l1, l2 in ((nan_end, a), (a, tiny)):
+        with pytest.raises(BadParameters, match="junction"):
+            loops.concat(l1, l2)
+
+
 def test_classify_extreme_scale_sample():
     # |c|^2 underflows at 1e-300 and overflows at 1e200; the hyperplane
     # is the same and so is the class

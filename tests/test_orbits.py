@@ -2,7 +2,8 @@ import pytest
 
 from qmono.errors import OddParityClaim
 from qmono.orbits import orbit_bfs, verify_orbit_claim
-from qmono.representation import Parity
+from qmono.group import ALPHA, BETA, KAPPA
+from qmono.representation import Parity, generator_matrix
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 
@@ -78,3 +79,18 @@ def test_claimed_set_is_the_line_pair_in_the_box():
             scan = {(u, v) for u in range(-radius, radius + 1)
                     for v in range(-radius, radius + 1) if abs(u - v) == level}
             assert verify_orbit_claim(radius, 2, EVEN, start=start).claimed == scan
+
+
+def oracle_orbit_bfs(start, parity, max_word_len):
+    mats = [generator_matrix(label, parity) for label in (ALPHA, BETA, KAPPA)]
+    mats += [m.inverse() for m in mats]
+    seen, frontier = {start}, {start}
+    for _ in range(max_word_len):
+        frontier = {m.apply(point) for point in frontier for m in mats} - seen
+        seen |= frontier
+    return seen
+
+def test_orbit_bfs_matches_matrix_apply():
+    for parity in Parity:
+        for start in [(1, 0), (2, 5), (-3, -3), (0, 0)]:
+            assert orbit_bfs(start, parity, 40) == oracle_orbit_bfs(start, parity, 40)

@@ -1,6 +1,9 @@
 import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qmono import group, representation
 from qmono.group import ALPHA, BETA, KAPPA, GroupWord, IDENTITY
 from qmono.representation import (
@@ -146,3 +149,37 @@ def test_even_parity_entries_unbounded():
         sizes.append(max(abs(e) for e in (power.m11, power.m12, power.m21, power.m22)))
     assert sizes[-1] > 50
     assert sizes == sorted(sizes)
+
+
+# --- differential properties against the per-letter fold ------------------
+
+def oracle_matrix_of(g, parity):
+    result = IDENTITY_MATRIX
+    for gen, exp in g.letters():
+        m = generator_matrix(gen, parity)
+        result = result @ (m if exp == 1 else m.inverse())
+    return result
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_matrix_of_matches_fold(seed):
+    g = random_word(random.Random(seed), max_len=2000)
+    for parity in Parity:
+        assert matrix_of(g, parity) == oracle_matrix_of(g, parity)
+
+
+def test_matrix_of_builds_one_matrix(monkeypatch):
+    built = []
+    init = MonodromyMatrix.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(MonodromyMatrix, "__init__", counting_init)
+    g = random_word(random.Random(15), max_len=500)
+    for parity in Parity:
+        built.clear()
+        matrix_of(g, parity)
+        assert len(built) == 1
