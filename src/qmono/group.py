@@ -54,7 +54,10 @@ _TOKENS = {token: letter for letter, token in _TEXT.items()}
 
 def _checked(letter: Letter, kappa_ok: bool) -> Letter:
     """The canonical form of a letter the tables missed, or MalformedWord."""
-    gen, exp = letter
+    try:
+        gen, exp = letter
+    except (TypeError, ValueError):
+        raise MalformedWord(f"not a (generator, exponent) pair: {letter!r}") from None
     if kappa_ok and gen == KAPPA:
         if exp not in (1, -1):
             raise MalformedWord(f"k exponent must be +1 or -1, got {exp!r}")

@@ -1,20 +1,26 @@
-"""Orbit enumeration of the monodromy group on the integer lattice.
+"""Lattice orbits of the monodromy group, in closed form.
 
-For even parity the orbit of a basis point (1, 0) is claimed to be the
-whole set {(u, v) : u - v = +-1}.  The quantity |u - v| is preserved
-exactly by every generator matrix, so the claim is certified in two
-halves: no reached point ever leaves the line pair (exact invariant),
-and a bounded breadth-first search covers every claimed point inside a
-finite box.
+Step law: at even parity each generator matrix is an involution sending
+the level l = u - v to -l and the midpoint m = (u + v) / 2 to m + e*l,
+with e = -1, +1, 0 for a, b, k.  So words of length n reach level
+(-1)^n l0 and midpoint m0 + j*l0 for every |j| <= n, and the ball of
+words of length <= L about (u0, v0) is the points (u0, v0) + j*l0*(1, 1)
+for |j| up to L rounded down to even, and (v0, u0) + j*l0*(1, 1) for |j|
+up to L rounded down to odd (none when L = 0).  At odd parity a and b
+act trivially and k swaps, so the ball is {(u0, v0), (v0, u0)}, or
+{(u0, v0)} when L = 0.
+
+`verify_orbit_claim` checks the claim that the even orbit of (1, 0) is
+{(u, v) : u - v = +-1} inside a finite box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet
+from typing import FrozenSet, Iterable
 
-from .errors import OddParityClaim
-from .representation import LETTER_ENTRIES, LatticePoint, Parity
+from .errors import BadParameters, OddParityClaim
+from .representation import LatticePoint, Parity
 
 
 @dataclass(frozen=True)
@@ -32,39 +38,35 @@ class OrbitReport:
         return not self.missing and not self.extraneous
 
 
+def _diagonal(u: int, v: int, step: int, reach: int) -> Iterable[LatticePoint]:
+    """The points (u, v) + j*step*(1, 1) for |j| <= reach; none if reach < 0."""
+    if reach < 0:
+        return ()
+    span, stride = reach * step, step or 1
+    return zip(range(u - span, u + span + 1, stride), range(v - span, v + span + 1, stride))
+
+
 def orbit_bfs(start: LatticePoint, parity: Parity,
               max_word_len: int) -> FrozenSet[LatticePoint]:
-    """Closure of {start} under all generator matrices and inverses,
-    applying at most max_word_len steps.  BFS over points, deduplicated.
-    """
+    """The ball of words of at most max_word_len letters about start."""
     if max_word_len < 0:
-        raise ValueError("max_word_len must be >= 0")
-    steps = set(LETTER_ENTRIES[parity].values())
-    seen = {start}
-    frontier = [start]
-    for _ in range(max_word_len):
-        nxt = []
-        for u, v in frontier:
-            for m11, m12, m21, m22 in steps:
-                image = (m11 * u + m12 * v, m21 * u + m22 * v)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        if not nxt:
-            break
-        frontier = nxt
-    return frozenset(seen)
+        raise BadParameters(f"max_word_len must be >= 0, got {max_word_len}")
+    u0, v0 = start
+    step = abs(u0 - v0) if parity is Parity.EVEN else 0
+    parity_bit = max_word_len % 2
+    return frozenset((*_diagonal(u0, v0, step, max_word_len - parity_bit),
+                      *_diagonal(v0, u0, step, max_word_len - 1 + parity_bit)))
 
 
 def verify_orbit_claim(box_radius: int, max_word_len: int, parity: Parity,
                        start: LatticePoint = (1, 0)) -> OrbitReport:
-    """Compare the BFS orbit of `start` against the set of lattice points
+    """Compare the orbit ball of `start` against the set of lattice points
     in the box [-R, R]^2 with the same value of |u - v|.
     """
     if parity is Parity.ODD:
         raise OddParityClaim("the lattice orbit claim concerns even dimension")
     if box_radius < 1:
-        raise ValueError("box_radius must be >= 1")
+        raise BadParameters(f"box_radius must be >= 1, got {box_radius}")
     reached = orbit_bfs(start, parity, max_word_len)
     level = abs(start[0] - start[1])
     # The lines v = u - s for s = +-level, with u clipped so v stays in the box.

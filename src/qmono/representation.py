@@ -11,7 +11,7 @@ vectors (u, v):
 Matrices are exact integer 2x2 matrices (Python ints, so no overflow).
 The matrix of a word g1 g2 ... gm is M(g1) M(g2) ... M(gm); composite
 loops act on column vectors with the leftmost letter's matrix applied
-last.
+last.  `matrix_of` evaluates that product in closed form.
 """
 
 from __future__ import annotations
@@ -93,32 +93,26 @@ def generator_matrix(label: str, parity: Parity) -> MonodromyMatrix:
     return table[label]
 
 
-def _letter_entries(table: dict) -> dict:
-    """(m11, m12, m21, m22) of each letter (gen, +-1) at one parity."""
-    entries = {}
-    for gen, m in table.items():
-        for exp, mat in ((1, m), (-1, m.inverse())):
-            entries[gen, exp] = (mat.m11, mat.m12, mat.m21, mat.m22)
-    return entries
-
-
-# Entries of each letter's matrix, and of its inverse, by parity.
-LETTER_ENTRIES = {Parity.EVEN: _letter_entries(_EVEN), Parity.ODD: _letter_entries(_ODD)}
-
-
 def matrix_of(g: GroupWord, parity: Parity) -> MonodromyMatrix:
-    """Matrix of a normal-form word: product of its letters' matrices.
+    """Matrix of a normal-form word w k^e, in closed form.
 
-    The product is taken over four plain ints, one letter at a time.  At
-    even parity M_a and M_b are involutions and M_a M_b is parabolic, so
-    they generate an infinite dihedral group whose entries grow linearly
-    in the word length; at odd parity every entry is 0 or 1.
+    At even parity M_a and M_b are involutions and T = M_a M_b = I + 2N,
+    N = [[1, -1], [1, -1]], N^2 = 0: they generate an infinite dihedral
+    group.  Read in pairs, ab is T, ba is T^-1, aa and bb are I, so
+    M(w) = T^j M_a^(len(w) mod 2), T^j = [[1 + 2j, -2j], [2j, 1 - 2j]],
+    where j counts the b's at odd 0-based positions of w minus those at
+    even ones; exponents do not matter.  At odd parity M(w) = I.  Either
+    way, e = 1 multiplies by the swap on the right: it swaps the columns.
     """
-    table = LETTER_ENTRIES[parity]
     p, q, r, s = 1, 0, 0, 1
-    for letter in g.letters():
-        m11, m12, m21, m22 = table[letter]
-        p, q, r, s = p * m11 + q * m21, p * m12 + q * m22, r * m11 + s * m21, r * m12 + s * m22
+    if parity is Parity.EVEN and g.free_part:
+        generators = next(zip(*g.free_part))  # the first entry of each letter
+        j = generators[1::2].count(BETA) - generators[::2].count(BETA)
+        p, q, r, s = 1 + 2 * j, -2 * j, 2 * j, 1 - 2 * j
+        if len(generators) % 2:  # times M_a = [[-1, 2], [0, 1]]
+            p, q, r, s = -p, 2 * p + q, -r, 2 * r + s
+    if g.kappa_bit:
+        p, q, r, s = q, p, s, r
     return MonodromyMatrix(p, q, r, s)
 
 

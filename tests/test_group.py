@@ -138,8 +138,19 @@ def test_normalize_odd_letters():
     # with three entries is not unpacked
     assert group.normalize([A, ["a", 1], A]) == GroupWord((A, A, A))
     assert group.normalize([K, ["a", -1]]) == GroupWord((Bi,), 1)
-    with pytest.raises(ValueError, match="too many values to unpack"):
+    with pytest.raises(MalformedWord, match=r"not a \(generator, exponent\) pair: \('a', 1, 0\)"):
         group.normalize([A, ("a", 1, 0)])
+
+
+@pytest.mark.parametrize("letter", [("a", 1, 0), ("a",), None, 5],
+                         ids=["three-entries", "one-entry", "none", "int"])
+@pytest.mark.parametrize("read", [group.normalize, group.free_reduce,
+                                  lambda letters: GroupWord(tuple(letters))],
+                         ids=["normalize", "free_reduce", "GroupWord"])
+def test_non_pair_letter_is_malformed(read, letter):
+    with pytest.raises(MalformedWord) as info:
+        read([A, letter, B])
+    assert str(info.value) == f"not a (generator, exponent) pair: {letter!r}"
 
 
 @pytest.mark.parametrize("letters, message", [

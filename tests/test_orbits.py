@@ -1,9 +1,12 @@
 import pytest
 
-from qmono.errors import OddParityClaim
-from qmono.orbits import orbit_bfs, verify_orbit_claim
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qmono.errors import BadParameters, OddParityClaim
+from qmono.orbits import OrbitReport, orbit_bfs, verify_orbit_claim
 from qmono.group import ALPHA, BETA, KAPPA
-from qmono.representation import Parity, generator_matrix
+from qmono.representation import IDENTITY_MATRIX, Parity, generator_matrix
 
 EVEN, ODD = Parity.EVEN, Parity.ODD
 
@@ -66,10 +69,12 @@ def test_claim_rejects_odd_parity():
 
 
 def test_claim_validates_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters, match="box_radius must be >= 1, got 0"):
         verify_orbit_claim(0, 6, EVEN)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameters, match="max_word_len must be >= 0, got -1"):
         orbit_bfs((1, 0), EVEN, -1)
+    with pytest.raises(BadParameters):
+        orbit_bfs((1, 0), ODD, -1)
 
 
 def test_claimed_set_is_the_line_pair_in_the_box():
@@ -81,16 +86,97 @@ def test_claimed_set_is_the_line_pair_in_the_box():
             assert verify_orbit_claim(radius, 2, EVEN, start=start).claimed == scan
 
 
-def oracle_orbit_bfs(start, parity, max_word_len):
+# --- the step law the closed form rests on ---------------------------------
+
+def level_and_twice_midpoint(point):
+    u, v = point
+    return u - v, u + v
+
+
+@pytest.mark.parametrize("parity, label, shift", [
+    (EVEN, ALPHA, -1), (EVEN, BETA, 1), (EVEN, KAPPA, 0), (ODD, KAPPA, 0),
+])
+def test_step_law_flips_level_and_shifts_midpoint(parity, label, shift):
+    # each generator, and its inverse, sends the level l = u - v to -l and
+    # the midpoint m = (u + v) / 2 to m + shift * l
+    m = generator_matrix(label, parity)
+    assert m.inverse() == m
+    for u in range(-6, 7):
+        for v in range(-6, 7):
+            level, twice_mid = level_and_twice_midpoint((u, v))
+            assert level_and_twice_midpoint(m.apply((u, v))) == \
+                (-level, twice_mid + 2 * shift * level)
+
+
+@pytest.mark.parametrize("label", [ALPHA, BETA])
+def test_step_law_odd_parity_free_generators_are_identity(label):
+    assert generator_matrix(label, ODD) == IDENTITY_MATRIX
+
+
+# --- differential tests against the breadth-first oracle ------------------
+
+def oracle_balls(start, parity, max_word_len):
+    """The BFS balls of radius 0, 1, ..., max_word_len about start."""
     mats = [generator_matrix(label, parity) for label in (ALPHA, BETA, KAPPA)]
     mats += [m.inverse() for m in mats]
     seen, frontier = {start}, {start}
+    balls = [frozenset(seen)]
     for _ in range(max_word_len):
         frontier = {m.apply(point) for point in frontier for m in mats} - seen
         seen |= frontier
-    return seen
+        # a generator matrix that breaks the step law can make the ball grow
+        # exponentially; fail here rather than exhaust memory
+        assert len(seen) <= 10 ** 5, "ball grows faster than the step law allows"
+        balls.append(frozenset(seen))
+    return balls
+
+
+def oracle_orbit_bfs(start, parity, max_word_len):
+    return oracle_balls(start, parity, max_word_len)[-1]
+
 
 def test_orbit_bfs_matches_matrix_apply():
     for parity in Parity:
         for start in [(1, 0), (2, 5), (-3, -3), (0, 0)]:
             assert orbit_bfs(start, parity, 40) == oracle_orbit_bfs(start, parity, 40)
+
+
+@pytest.mark.parametrize("parity", list(Parity))
+def test_orbit_bfs_matches_oracle_on_grid(parity):
+    for u in range(-10, 11):
+        for v in range(-10, 11):
+            for length, ball in enumerate(oracle_balls((u, v), parity, 20)):
+                assert orbit_bfs((u, v), parity, length) == ball, ((u, v), length)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(u=st.integers(-1000, 1000), v=st.integers(-1000, 1000),
+       max_word_len=st.integers(0, 60), parity=st.sampled_from(Parity))
+def test_orbit_bfs_matches_oracle_far_out(u, v, max_word_len, parity):
+    assert orbit_bfs((u, v), parity, max_word_len) == \
+        oracle_orbit_bfs((u, v), parity, max_word_len)
+
+
+def oracle_report(box_radius, max_word_len, start):
+    reached = frozenset(oracle_orbit_bfs(start, EVEN, max_word_len))
+    level = abs(start[0] - start[1])
+    box = range(-box_radius, box_radius + 1)
+    claimed = frozenset((u, v) for u in box for v in box if abs(u - v) == level)
+    extraneous = frozenset(p for p in reached if abs(p[0] - p[1]) != level)
+    return OrbitReport(start=start, parity=EVEN, max_word_len=max_word_len,
+                       box_radius=box_radius, reached=reached, claimed=claimed,
+                       missing=claimed - reached, extraneous=extraneous)
+
+
+@pytest.mark.parametrize("box_radius, max_word_len, start", [
+    (300, 400, (1, 0)),
+    (8, 12, (1, 0)),
+    (12, 60, (4, 1)),
+    (12, 60, (5, 2)),
+    (5, 3, (2, -3)),
+    (3, 0, (0, 1)),
+    (4, 7, (0, 0)),
+])
+def test_claim_report_matches_oracle(box_radius, max_word_len, start):
+    report = verify_orbit_claim(box_radius, max_word_len, EVEN, start=start)
+    assert report == oracle_report(box_radius, max_word_len, start)

@@ -162,9 +162,9 @@ def oracle_matrix_of(g, parity):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2 ** 32))
-def test_matrix_of_matches_fold(seed):
-    g = random_word(random.Random(seed), max_len=2000)
+@given(seed=st.integers(0, 2 ** 32), max_len=st.sampled_from((20, 2000, 10 ** 4)))
+def test_matrix_of_matches_fold(seed, max_len):
+    g = random_word(random.Random(seed), max_len=max_len)
     for parity in Parity:
         assert matrix_of(g, parity) == oracle_matrix_of(g, parity)
 
