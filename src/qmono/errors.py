@@ -79,4 +79,5 @@ class MalformedLoopFile(QmonoError):
 
 
 class BadParameters(QmonoError):
-    """Invalid parameters for a loop constructor."""
+    """Invalid parameters: loop-maker or loop arguments, orbit ranges, negative
+    ranks, or the inverse of a matrix that is not invertible over Z."""

@@ -35,10 +35,11 @@ def default_tol(tol: float | None = None) -> float:
 
 
 def inverse_norm(c: np.ndarray) -> np.ndarray:
-    """1 / |c| along the last axis, as 1 / (top |c / top|) with top = max |c_i|,
-    which neither overflows nor underflows."""
-    top = np.abs(c).max(axis=-1, keepdims=True)
-    return 1.0 / (top[..., 0] * np.linalg.norm(c / top, axis=-1))
+    """1 / |c| along the last axis, as 1 / (top |c / top|) with top = max(|Re c_i|, |Im c_i|):
+    a part of c / top is +-1, so the sum of squares lies in [1, 2n] and cannot over- or underflow."""
+    top = np.maximum(abs(c.real), abs(c.imag)).max(axis=-1, keepdims=True)
+    u = c / top
+    return 1.0 / (top[..., 0] * np.sqrt((u.real * u.real + u.imag * u.imag).sum(axis=-1)))
 
 
 class Hyperplane:

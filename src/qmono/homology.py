@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from .errors import DimensionTooSmall, NegativeDimension
+from .errors import BadParameters, DimensionTooSmall, NegativeDimension
 
 RankTable = Dict[int, int]
 
@@ -41,7 +41,7 @@ def _reduced_sphere(k: int) -> RankTable:
 def solve_split_extension(left_rank: int, right_rank: int) -> int:
     """Rank of the middle of 0 -> Z^l -> H -> Z^r -> 0 (splits, H free)."""
     if left_rank < 0 or right_rank < 0:
-        raise ValueError("ranks must be >= 0")
+        raise BadParameters(f"ranks must be >= 0, got {left_rank} and {right_rank}")
     return left_rank + right_rank
 
 

@@ -8,9 +8,13 @@ of the loop is a kappa bit, set when s returns to -lambda s_0 instead
 of +lambda s_0 (the punctures swapped after transport), and the free
 crossing word of w_t in C \\ {+1, -1}, cut along (1, +inf) and (-inf, -1).
 
-A loop is held once as read-only arrays `loop.samples.c`: (m, n) and
-`loop.samples.d`: (m,), which `classify` reads in one pass.  With roots r_i =
-sqrt(q_i), s_i = eps_i r_i where eps_0 = 1 and eps_{i+1} = eps_i
+A loop is held once as one read-only, column-major complex array
+`loop.samples.rows`: (m, n+1), coefficients in columns 0..n-1 and the offset
+in column n, with `loop.samples.c` and `loop.samples.d` views of it.  Column
+order makes each per-sample reduction over the n coordinates (norm, q, the
+non-finite and zero-row tests) n sweeps over m-long columns.  `LoopSamples(c,
+d)` copies its inputs; `classify` reads the array in one pass.  With roots
+r_i = sqrt(q_i), s_i = eps_i r_i where eps_0 = 1 and eps_{i+1} = eps_i
 sign(Re(r_{i+1} conj(r_i))); the q-step check |q_{i+1} - q_i| < |q_i| keeps
 r_{i+1} / r_i within pi/4 of +-1, so the sign never ties.  A refusal names
 the first offending sample; the checks run in the order non-finite, general
@@ -45,21 +49,34 @@ _BRANCH_MATCH_RTOL = 1e-6
 
 
 class LoopSamples(Sequence):
-    """A loop's samples as read-only rows c: (m, n) and offsets d: (m,).
-    An item is a Hyperplane built on access; a slice is a LoopSamples."""
+    """A loop's samples as one read-only column-major array rows: (m, n+1), with
+    views c = rows[:, :n] and d = rows[:, n].  LoopSamples(c, d) copies its
+    inputs; an item is a Hyperplane built on access, a slice a LoopSamples."""
 
     def __init__(self, c, d):
-        self.c, self.d = np.asarray(c, dtype=complex).view(), np.asarray(d, dtype=complex).view()
-        if self.c.ndim != 2 or self.d.shape != self.c.shape[:1]:
-            raise BadParameters(f"need c: (m, n) and d: (m,), got {self.c.shape} and {self.d.shape}")
-        self.c.flags.writeable = self.d.flags.writeable = False
+        c, d = np.asarray(c, dtype=complex), np.asarray(d, dtype=complex)
+        if c.ndim != 2 or d.shape != c.shape[:1]:
+            raise BadParameters(f"need c: (m, n) and d: (m,), got {c.shape} and {d.shape}")
+        rows = np.empty((len(d), c.shape[1] + 1), dtype=complex, order="F")
+        rows[:, :-1], rows[:, -1] = c, d
+        self._hold(rows)
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray) -> "LoopSamples":
+        """Samples on an (m, n+1) array, copied only if it is not column-major."""
+        return cls.__new__(cls)._hold(np.asfortranarray(rows))
+
+    def _hold(self, rows: np.ndarray) -> "LoopSamples":
+        rows.flags.writeable = False  # before taking the views, which inherit it
+        self.rows, self.c, self.d = rows, rows[:, :-1], rows[:, -1]
+        return self
 
     def __len__(self) -> int:
         return len(self.d)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return LoopSamples(self.c[i], self.d[i])
+            return LoopSamples._from_rows(self.rows[i])
         return Hyperplane(self.c[i], self.d[i])
 
 
@@ -155,12 +172,11 @@ def closure_scale(loop: HyperplaneLoop, tol: float | None = None) -> complex:
     least-squares fit; raises NotClosed when the residual exceeds tol.
     """
     tol = default_tol(tol)
-    c, d, last = loop.samples.c, loop.samples.d, len(loop.samples) - 1
-    v0 = np.append(c[0], d[0])
+    v0, v1, last = loop.samples.rows[0], loop.samples.rows[-1], len(loop.samples) - 1
     lam = loop.closure_lambda
     if lam is not None and not (cmath.isfinite(lam) and lam != 0):
         raise NotClosed(last, f"closure_lambda must be finite and nonzero, got {lam} (sample {last})")
-    lam, residual = _scale_fit(v0, np.append(c[-1], d[-1]), None if lam is None else complex(lam))
+    lam, residual = _scale_fit(v0, v1, None if lam is None else complex(lam))
     # Written so that a NaN residual fails the test.
     if not residual <= tol * float(np.linalg.norm(v0)):
         raise NotClosed(last, f"closure residual {residual:.3g} at sample {last} exceeds tolerance")
@@ -169,10 +185,10 @@ def closure_scale(loop: HyperplaneLoop, tol: float | None = None) -> complex:
 
 def _incidence(loop: HyperplaneLoop, tol: float) -> Incidence:
     """Refuse non-finite samples and evaluate the rest at |c| = 1."""
-    c, d = loop.samples.c, loop.samples.d
-    _refuse(~(np.isfinite(c).all(axis=1) & np.isfinite(d)), NonFiniteSample,
+    s = loop.samples
+    _refuse(~np.isfinite(s.rows).all(axis=1), NonFiniteSample,
             "sample {i} has a non-finite coefficient or offset")
-    inc = incidence(c, d, tol)
+    inc = incidence(s.c, s.d, tol)
     # Subnormal coefficients, or an offset too large for |c| = 1.
     _refuse(~(np.isfinite(inc.q) & np.isfinite(inc.d)), NonFiniteSample,
             "sample {i} is not finite at |c| = 1")
@@ -271,9 +287,9 @@ def classify(loop: HyperplaneLoop, tol: float | None = None) -> ClassificationRe
 def _pencil_loop(n: int, c1, c2, d, closure_lambda: float) -> HyperplaneLoop:
     """The loop of hyperplanes c1_t z1 + c2_t z2 = d_t."""
     _check_shape(n, len(d), ())  # before building rows of width n
-    c = np.zeros((len(d), n), dtype=complex)
-    c[:, 0], c[:, 1] = c1, c2
-    return HyperplaneLoop(n, LoopSamples(c, d), closure_lambda)
+    rows = np.zeros((len(d), n + 1), dtype=complex, order="F")
+    rows[:, 0], rows[:, 1], rows[:, n] = c1, c2, d
+    return HyperplaneLoop(n, LoopSamples._from_rows(rows), closure_lambda)
 
 
 def _puncture_loop(n: int, center: float, eps: float, m: int) -> HyperplaneLoop:
@@ -319,13 +335,11 @@ def concat(l1: HyperplaneLoop, l2: HyperplaneLoop,
     tol = default_tol(tol)
     if l1.n != l2.n:
         raise BadParameters("loops have different ambient dimensions")
-    s1, s2 = l1.samples, l2.samples
-    v1 = np.append(s1.c[-1], s1.d[-1])
-    mu, residual = _scale_fit(np.append(s2.c[0], s2.d[0]), v1)
-    if mu == 0 or not residual <= tol * float(np.linalg.norm(v1)):
+    r1, r2 = l1.samples.rows, l2.samples.rows
+    mu, residual = _scale_fit(r2[0], r1[-1])
+    if mu == 0 or not residual <= tol * float(np.linalg.norm(r1[-1])):
         raise BadParameters("loops do not share their junction hyperplane")
-    samples = LoopSamples(np.concatenate((s1.c, mu * s2.c[1:])),
-                          np.concatenate((s1.d, mu * s2.d[1:])))
+    samples = LoopSamples._from_rows(np.concatenate((r1, mu * r2[1:])))
     return HyperplaneLoop(l1.n, samples, closure_scale(l1, tol) * closure_scale(l2, tol))
 
 
@@ -360,5 +374,5 @@ def loop_from_dict(data: dict) -> HyperplaneLoop:
     lam = None if lam is None else complex(lam[0], lam[1])
     n = int(data["n"])
     _check_shape(n, len(sizes), sizes)
-    z = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1, n + 1)
-    return HyperplaneLoop(n, LoopSamples(z[:, :n], z[:, n]), closure_lambda=lam)
+    rows = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1, n + 1)
+    return HyperplaneLoop(n, LoopSamples._from_rows(rows), closure_lambda=lam)

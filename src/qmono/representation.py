@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
-from .errors import DimensionTooSmall
+from .errors import BadParameters, DimensionTooSmall
 from .group import ALPHA, BETA, KAPPA, GroupWord
 
 LatticePoint = Tuple[int, int]
@@ -60,7 +60,7 @@ class MonodromyMatrix:
     def inverse(self) -> "MonodromyMatrix":
         d = self.det()
         if d not in (1, -1):
-            raise ValueError(f"matrix is not invertible over Z: det = {d}")
+            raise BadParameters(f"matrix is not invertible over Z: det = {d}")
         return MonodromyMatrix(self.m22 * d, -self.m12 * d,
                                -self.m21 * d, self.m11 * d)
 

@@ -1,9 +1,12 @@
 import cmath
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from qmono import group, loops
 from qmono.errors import (
@@ -15,6 +18,7 @@ from qmono.errors import (
     NotClosed,
     NotGeneralPosition,
     PunctureCollision,
+    QmonoError,
     UndersampledLoop,
     ZeroCoefficientVector,
 )
@@ -383,6 +387,78 @@ def test_loop_shape_refused():
     c[2] = 0
     with pytest.raises(ZeroCoefficientVector, match="sample 2"):
         HyperplaneLoop(3, loops.LoopSamples(c, np.zeros(4)))
+
+
+def assert_one_column_major_array(samples, n):
+    """c and d are read-only views of one F-contiguous (m, n+1) array."""
+    rows = samples.rows
+    assert rows.shape == (len(samples), n + 1) and rows.dtype == complex
+    assert rows.flags.f_contiguous and not rows.flags.writeable
+    assert samples.c.__array_interface__ == rows[:, :n].__array_interface__
+    assert samples.d.__array_interface__ == rows[:, n].__array_interface__
+    assert not samples.c.flags.writeable and not samples.d.flags.writeable
+
+
+def test_loop_is_one_column_major_array():
+    alpha, kappa = loops.make_alpha_loop(4, m=64), loops.make_kappa_loop(4, m=64)
+    c0, d0 = np.array(alpha.samples.c), np.array(alpha.samples.d)
+    wide = np.zeros((2 * len(d0), 8), dtype=complex)
+    wide[::2, ::2] = c0
+    given_c = {"C-ordered": np.array(c0, order="C"), "F-ordered": np.array(c0, order="F"),
+               "strided": wide[::2, ::2]}
+    for name, c in given_c.items():
+        d = d0.copy()
+        loop = HyperplaneLoop(4, loops.LoopSamples(c, d), alpha.closure_lambda)
+        assert_one_column_major_array(loop.samples, 4)
+        c[...], d[...] = 7.0, 7.0  # the loop holds a copy, not the caller's arrays
+        assert np.array_equal(loop.samples.c, c0) and np.array_equal(loop.samples.d, d0), name
+    built = [HyperplaneLoop(4, list(alpha.samples)), loops.concat(alpha, kappa),
+             loops.reverse(kappa), loops.loop_from_dict(loops.loop_to_dict(alpha))]
+    built += [make(4) for make in (loops.make_alpha_loop, loops.make_beta_loop,
+                                   loops.make_kappa_loop, loops.make_constant_loop)]
+    for loop in built:
+        assert_one_column_major_array(loop.samples, 4)
+    for part in (alpha.samples[1:-1], alpha.samples[::-2], alpha.samples[:]):
+        assert_one_column_major_array(part, 4)
+
+
+cached_pieces = functools.lru_cache(maxsize=None)(generator_pieces)
+
+
+def classify_outcome(loop):
+    """The word and diagnostics, bit for bit, or the refusal's class, index and message."""
+    try:
+        result = loops.classify(loop)
+    except QmonoError as exc:
+        return type(exc), getattr(exc, "index", None), str(exc)
+    return str(result.word), repr(result.diagnostics)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # |v|^2 of the end rows overflows at 1e200
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 5),
+       letters=st.lists(st.sampled_from(["a", "b", "k", "a^-1", "b^-1", "k^-1"]), min_size=1,
+                        max_size=4),
+       scale=st.sampled_from([1.0, -1j, 2.0 + 1.0j, 1e-300, 1e200]),
+       noise=st.sampled_from([0.0, 1e-6, 1e-3, 0.1]), seed=st.integers(0, 2**32 - 1))
+def test_classify_is_layout_independent(n, letters, scale, noise, seed):
+    pieces = cached_pieces(n, 64)
+    loop = pieces[letters[0]]
+    for letter in letters[1:]:
+        loop = loops.concat(loop, pieces[letter])
+    rows = np.array(loop.samples.rows)
+    # noise off the end rows keeps the closure factor
+    shake = np.random.default_rng(seed).normal(size=rows.shape + (2,)) @ [1.0, 1.0j]
+    rows[1:-1] += noise * shake[1:-1]
+    rows *= scale
+    wide = np.zeros((3 * len(rows), 2 * n + 2), dtype=complex)
+    wide[::3, ::2] = rows
+    outcomes = {classify_outcome(HyperplaneLoop(n, loops.LoopSamples(layout[:, :n], layout[:, n]),
+                                                loop.closure_lambda))
+                for layout in (np.ascontiguousarray(rows), np.asfortranarray(rows), wide[::3, ::2])}
+    assert len(outcomes) == 1
+    outcome = outcomes.pop()
+    event(outcome[0].__name__ if isinstance(outcome[0], type) else "classified")
 
 
 def test_makers_refuse_small_dimension():

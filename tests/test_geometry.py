@@ -1,5 +1,7 @@
 import cmath
+import decimal
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,3 +163,26 @@ def test_normalized_at_extreme_scale(scale):
     assert np.all(np.isfinite(hn.c)) and np.isfinite(hn.d)
     assert np.allclose(hn.c, [1, 0, 0], rtol=0, atol=1e-15)
     assert hn.d == pytest.approx(0.5, rel=1e-15)
+
+
+def exact_norm(row):
+    """|c| from the exact sum of squares of the float parts, rooted at 60 digits."""
+    total = sum(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in row)
+    with decimal.localcontext(decimal.Context(prec=60, Emin=-9999, Emax=9999)):
+        return (decimal.Decimal(total.numerator) / decimal.Decimal(total.denominator)).sqrt()
+
+
+def test_inverse_norm_matches_exact_norm():
+    rng = np.random.default_rng(5)
+    for n in range(1, 7):
+        # magnitudes spread over 1e-300..1e300 within a row, and bunched within a decade
+        spread = 10.0 ** rng.uniform(-300, 300, (200, n))
+        bunched = 10.0 ** (rng.uniform(-300, 299, (200, 1)) + rng.uniform(0, 1, (200, n)))
+        ends = np.array([[1e-300] * n, [1e300] * n, [1e300] + [1e-300] * (n - 1)])
+        for mags in (spread, bunched, ends):
+            c = mags * np.exp(2j * np.pi * rng.random(mags.shape))
+            inv = geometry.inverse_norm(c)
+            assert inv.shape == (len(c),)
+            for row, value in zip(c, inv):
+                assert float(geometry.inverse_norm(row)) == value  # 1-d input, same rounding
+                assert abs(decimal.Decimal(float(value)) * exact_norm(row) - 1) <= decimal.Decimal("1e-15")

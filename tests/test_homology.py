@@ -1,7 +1,7 @@
 import pytest
 
 from qmono import homology
-from qmono.errors import DimensionTooSmall, NegativeDimension
+from qmono.errors import BadParameters, DimensionTooSmall, NegativeDimension, QmonoError
 
 
 def test_sphere_homology():
@@ -19,8 +19,10 @@ def test_solve_split_extension():
     assert homology.solve_split_extension(1, 1) == 2
     assert homology.solve_split_extension(0, 0) == 0
     assert homology.solve_split_extension(2, 3) == 5
-    with pytest.raises(ValueError):
-        homology.solve_split_extension(-1, 0)
+    for ranks in ((-1, 0), (0, -1)):
+        with pytest.raises(BadParameters, match="ranks must be >= 0"):
+            homology.solve_split_extension(*ranks)
+    assert issubclass(BadParameters, QmonoError)
 
 
 def test_table_examples():

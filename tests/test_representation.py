@@ -1,10 +1,13 @@
 import itertools
 import random
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmono import group, representation
+from qmono.errors import BadParameters
 from qmono.group import ALPHA, BETA, KAPPA, GroupWord, IDENTITY
 from qmono.representation import (
     IDENTITY_MATRIX,
@@ -55,6 +58,15 @@ def test_matrix_of_examples():
     assert matrix_of(ka, EVEN) == MonodromyMatrix(0, 1, -1, 2)
     assert matrix_of(ka, EVEN) == generator_matrix(KAPPA, EVEN) @ generator_matrix(ALPHA, EVEN)
     assert matrix_of(group.normalize([(KAPPA, 1), (KAPPA, 1)]), EVEN) == IDENTITY_MATRIX
+
+
+def test_inverse():
+    m = MonodromyMatrix(3, 2, 4, 3)  # det 1
+    assert m @ m.inverse() == IDENTITY_MATRIX == m.inverse() @ m
+    assert SWAP_MATRIX.inverse() == SWAP_MATRIX  # det -1
+    for singular in (MonodromyMatrix(2, 0, 0, 1), MonodromyMatrix(1, 1, 1, 1)):
+        with pytest.raises(BadParameters, match=f"det = {singular.det()}"):
+            singular.inverse()
 
 
 def test_apply_examples():
