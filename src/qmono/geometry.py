@@ -34,12 +34,21 @@ def default_tol(tol: float | None = None) -> float:
     return value
 
 
+def _unit_scaled(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u = c / top along the last axis, with top = max(|Re c_i|, |Im c_i|), together with
+    s = |u|^2 and 1 / |c| = (1 / top) / sqrt(s).  A part of u is +-1, so s lies in [1, 2n] and
+    cannot over- or underflow.  u is taken as c * (1 / top): the rounding of 1 / top scales
+    every part of a row alike, so it cancels from u u / s and from 1 / |c|."""
+    inv_top = 1.0 / np.maximum(abs(c.real), abs(c.imag)).max(axis=-1, keepdims=True)
+    u = c * inv_top
+    size2 = (u.real * u.real + u.imag * u.imag).sum(axis=-1)
+    return u, size2, inv_top[..., 0] / np.sqrt(size2)
+
+
 def inverse_norm(c: np.ndarray) -> np.ndarray:
-    """1 / |c| along the last axis, as 1 / (top |c / top|) with top = max(|Re c_i|, |Im c_i|):
-    a part of c / top is +-1, so the sum of squares lies in [1, 2n] and cannot over- or underflow."""
-    top = np.maximum(abs(c.real), abs(c.imag)).max(axis=-1, keepdims=True)
-    u = c / top
-    return 1.0 / (top[..., 0] * np.sqrt((u.real * u.real + u.imag * u.imag).sum(axis=-1)))
+    """1 / |c| along the last axis, computed at the scale of c's largest real or imaginary part
+    so that the sum of squares cannot over- or underflow."""
+    return _unit_scaled(c)[2]
 
 
 class Hyperplane:
@@ -81,24 +90,24 @@ def quad_form(c) -> complex:
     return complex(np.sum(c * c))
 
 
-Incidence = namedtuple("Incidence", "q d tangent asymptotic margin")
+Incidence = namedtuple("Incidence", "q size d inv tangent asymptotic margin")
 
 
 def incidence(c: np.ndarray, d: np.ndarray, tol: float | None = None) -> Incidence:
     """For hyperplanes with rows c: (m, n) and offsets d: (m,), at |c| = 1:
-    q = sum c_i^2, the offset d, the masks tangent (d^2 = q) and asymptotic
-    (q = 0) within tol, and the discriminant distance proxy
-    margin = min(|d^2 - q|, |q|)."""
+    q = sum c_i^2, its size |q|, the offset d, the inverse norms inv = 1 / |c|,
+    the masks tangent (d^2 = q) and asymptotic (q = 0) within tol, and the
+    discriminant distance proxy margin = min(|d^2 - q|, |q|).  Each row is
+    scaled once, by the reciprocal of its largest real or imaginary part."""
     tol = default_tol(tol)
-    inv = inverse_norm(c)
-    cn = c * inv[:, None]
-    q = np.sum(cn * cn, axis=1)
+    u, size2, inv = _unit_scaled(c)
+    q = np.sum(u * u, axis=1) / size2
     dn = d * inv
     d2 = dn * dn
     gap = np.abs(d2 - q)
     size = np.abs(q)
     tangent = gap <= tol * np.maximum(np.maximum(np.abs(d2), size), 1.0)
-    return Incidence(q, dn, tangent, size <= tol, np.minimum(gap, size))
+    return Incidence(q, size, dn, inv, tangent, size <= tol, np.minimum(gap, size))
 
 
 def is_tangent(h: Hyperplane, tol: float | None = None) -> bool:

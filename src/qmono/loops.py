@@ -20,6 +20,13 @@ r_{i+1} / r_i within pi/4 of +-1, so the sign never ties.  A refusal names
 the first offending sample; the checks run in the order non-finite, general
 position, closure, q-step, branch endpoint, puncture collision, fiber step.
 
+Each sample is scaled to |c| = 1 once, by `geometry.incidence`; the closure
+factor, the branch and the fiber path reuse its q, |q| and inverse norms.  The
+puncture-collision test bounds the distance of p = +-1 to a fiber segment
+[a, b] from below by (|a - p| + |b - p| - |b - a|) / 2, from distances the
+fiber-step check needs anyway, and finds the exact distance only on the few
+segments where that bound, less a few ulps for rounding, does not clear tol.
+
 Crossing conventions are fixed so that the model generator loops
 (counterclockwise around +1, counterclockwise around -1, and the
 rotating pencil (cos t) z1 + (sin t) z2 = 0) classify to a, b and k
@@ -39,13 +46,16 @@ from . import group, representation
 from .errors import (AsymptoticSample, BadParameters, BranchAmbiguity, DimensionTooSmall,
                      NonFiniteSample, NotClosed, NotGeneralPosition, PunctureCollision,
                      UndersampledLoop, ZeroCoefficientVector)
-from .geometry import Hyperplane, Incidence, default_tol, incidence, inverse_norm
+from .geometry import Hyperplane, Incidence, default_tol, incidence
 from .group import FreeWord, GroupWord
 from .representation import MonodromyMatrix, Parity
 
 # Relative tolerance for matching the continued branch against the two
 # closure candidates +-lambda s_0, which are 2|s_0| apart.
 _BRANCH_MATCH_RTOL = 1e-6
+
+# The punctures +1 and -1 of the model fiber, as a column to broadcast against a path.
+_PUNCTURES = np.array([[1.0], [-1.0]])
 
 
 class LoopSamples(Sequence):
@@ -136,9 +146,8 @@ def _refuse(bad: np.ndarray, error: type, message: str, values=None) -> None:
         raise error(i, message.format(i=i, v=None if values is None else values[i]))
 
 
-def _sqrt_branch(q: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Continuous square-root branch of q and the relative steps |dq| / |q|."""
-    size = np.abs(q)
+def _sqrt_branch(q: np.ndarray, size: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Continuous square-root branch of q, given size = |q|, and the relative steps |dq| / |q|."""
     _refuse(size <= tol, AsymptoticSample, "|q| = {v:.3g} at sample {i}", size)
     dq = np.abs(np.diff(q))
     step = dq / size[:-1]
@@ -156,13 +165,20 @@ def continue_sqrt_branch(q_samples: Sequence[complex],
     next q nearer to the previous s.  Requires relative steps < 1 so
     the nearer root is unambiguous.
     """
-    return _sqrt_branch(np.asarray(q_samples, dtype=complex), default_tol(tol))[0].tolist()
+    q = np.asarray(q_samples, dtype=complex)
+    return _sqrt_branch(q, np.abs(q), default_tol(tol))[0].tolist()
 
 
-def _scale_fit(u: np.ndarray, v: np.ndarray, mu: complex | None = None) -> Tuple[complex, float]:
-    """mu with v = mu u (least squares unless given) and max |v - mu u|."""
-    mu = complex(np.vdot(u, v) / np.vdot(u, u)) if mu is None else mu
-    return mu, float(np.max(np.abs(v - mu * u)))
+def _scale_fit(u: np.ndarray, v: np.ndarray,
+               mu: complex | None = None) -> Tuple[complex, float, float]:
+    """mu with v = mu u (least squares unless given), max |v - mu u| and |u|.  The inner
+    products are taken with u / max |u_i|, whose squared norm lies in [1, len(u)], so rows at
+    1e200 or 1e-300 neither overflow nor underflow them."""
+    top = float(np.abs(u).max())
+    unit = u / top
+    size2 = float(np.vdot(unit, unit).real)
+    mu = complex(np.vdot(unit, v)) / size2 / top if mu is None else mu
+    return mu, float(np.max(np.abs(v - mu * u))), top * math.sqrt(size2)
 
 
 def closure_scale(loop: HyperplaneLoop, tol: float | None = None) -> complex:
@@ -176,9 +192,9 @@ def closure_scale(loop: HyperplaneLoop, tol: float | None = None) -> complex:
     lam = loop.closure_lambda
     if lam is not None and not (cmath.isfinite(lam) and lam != 0):
         raise NotClosed(last, f"closure_lambda must be finite and nonzero, got {lam} (sample {last})")
-    lam, residual = _scale_fit(v0, v1, None if lam is None else complex(lam))
+    lam, residual, size = _scale_fit(v0, v1, None if lam is None else complex(lam))
     # Written so that a NaN residual fails the test.
-    if not residual <= tol * float(np.linalg.norm(v0)):
+    if not residual <= tol * size:
         raise NotClosed(last, f"closure residual {residual:.3g} at sample {last} exceeds tolerance")
     return lam
 
@@ -195,11 +211,10 @@ def _incidence(loop: HyperplaneLoop, tol: float) -> Incidence:
     return inc
 
 
-def _normalized_closure(loop: HyperplaneLoop, tol: float) -> complex:
+def _normalized_closure(loop: HyperplaneLoop, inc: Incidence, tol: float) -> complex:
     # Per-sample normalization rescales the endpoints by positive reals,
     # so the closure factor picks up the ratio of coefficient norms.
-    inv = inverse_norm(loop.samples.c[[0, -1]])
-    return closure_scale(loop, tol) * float(inv[1] / inv[0])
+    return closure_scale(loop, tol) * float(inc.inv[-1] / inc.inv[0])
 
 
 def _branch_bit(lam: complex, branch: np.ndarray) -> int:
@@ -220,26 +235,39 @@ def kappa_bit(loop: HyperplaneLoop, tol: float | None = None) -> int:
     """0 if the sqrt branch closes up to lambda, 1 if it flips sign."""
     tol = default_tol(tol)
     inc = _incidence(loop, tol)
-    lam = _normalized_closure(loop, tol)
-    return _branch_bit(lam, _sqrt_branch(inc.q, tol)[0])
+    lam = _normalized_closure(loop, inc, tol)
+    return _branch_bit(lam, _sqrt_branch(inc.q, inc.size, tol)[0])
 
 
 def _fiber_letters(w: np.ndarray, tol: float) -> List[group.Letter]:
     """Crossing letters of the fiber path w, closed through the origin."""
     # Basepoint transport: close up through the origin of the model fiber.
     path = np.concatenate(([0j], w, [0j]))
-    # Distances of +1 (row 0) and -1 (row 1) to every segment of the path.
-    rel = np.array([[1.0], [-1.0]]) - path[:-1]
     seg = np.diff(path)
-    denom = np.abs(seg) ** 2
-    dot = rel.real * seg.real + rel.imag * seg.imag
-    t = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0.0)
-    near = np.abs(rel - np.clip(t, 0.0, 1.0) * seg) <= tol
-    _refuse(near.any(axis=0), PunctureCollision,
-            "fiber path segment {i} passes through {v:+.0f}", np.where(near[0], 1.0, -1.0))
-    step = np.abs(np.diff(w))
-    reach = np.minimum(np.abs(w[:-1] - 1.0), np.abs(w[:-1] + 1.0))
-    _refuse(step >= reach, UndersampledLoop,
+    length = np.abs(seg)
+    # Distances of the path's points to +1 (row 0) and -1 (row 1).
+    reach = np.abs(path - _PUNCTURES)
+    # On a segment [a, b], |x - p| >= (|a - p| + |b - p| - |b - a|) / 2.  The exact distance
+    # is found only where that bound, less 16 ulps of its terms (the rounding of the bound and
+    # of the exact distance), does not clear tol; a NaN or inf bound does not clear it.
+    ends = reach[:, :-1] + reach[:, 1:]
+    cleared = ends - length > 2.0 * tol + 16.0 * np.finfo(float).eps * (ends + length)
+    unclear = np.flatnonzero(~cleared.all(axis=0))
+    if unclear.size:
+        rel = _PUNCTURES - path[unclear]
+        denom = length[unclear] ** 2
+        dot = rel.real * seg[unclear].real + rel.imag * seg[unclear].imag
+        t = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0.0)
+        near = np.abs(rel - np.clip(t, 0.0, 1.0) * seg[unclear]) <= tol
+        hit = near.any(axis=0)
+        if hit.any():
+            j = int(np.argmax(hit))
+            i = int(unclear[j])
+            raise PunctureCollision(i, f"fiber path segment {i} passes through "
+                                    f"{1 if near[0, j] else -1:+d}")
+    step = length[1:-1]
+    nearest = np.minimum(reach[0, 1:-2], reach[1, 1:-2])
+    _refuse(step >= nearest, UndersampledLoop,
             "fiber step {v:.3g} at sample {i} reaches the nearest puncture", step)
     # Points exactly on the real axis count as upper half-plane; the
     # paths we care about touch the axis only between the punctures.
@@ -257,7 +285,7 @@ def fiber_word(loop: HyperplaneLoop, tol: float | None = None) -> FreeWord:
     """Crossing word of the fiber path w_t = d_t / s_t, freely reduced."""
     tol = default_tol(tol)
     inc = _incidence(loop, tol)
-    return group.free_reduce(_fiber_letters(inc.d / _sqrt_branch(inc.q, tol)[0], tol))
+    return group.free_reduce(_fiber_letters(inc.d / _sqrt_branch(inc.q, inc.size, tol)[0], tol))
 
 
 def classify(loop: HyperplaneLoop, tol: float | None = None) -> ClassificationResult:
@@ -265,8 +293,8 @@ def classify(loop: HyperplaneLoop, tol: float | None = None) -> ClassificationRe
     tol = default_tol(tol)
     inc = _incidence(loop, tol)
     _refuse(inc.tangent | inc.asymptotic, NotGeneralPosition, "sample {i} is not in general position")
-    lam = _normalized_closure(loop, tol)
-    branch, step = _sqrt_branch(inc.q, tol)
+    lam = _normalized_closure(loop, inc, tol)
+    branch, step = _sqrt_branch(inc.q, inc.size, tol)
     bit = _branch_bit(lam, branch)
     letters = _fiber_letters(inc.d / branch, tol)
     word = group.normalize(letters + ([(group.KAPPA, 1)] if bit else []))
@@ -336,8 +364,9 @@ def concat(l1: HyperplaneLoop, l2: HyperplaneLoop,
     if l1.n != l2.n:
         raise BadParameters("loops have different ambient dimensions")
     r1, r2 = l1.samples.rows, l2.samples.rows
-    mu, residual = _scale_fit(r2[0], r1[-1])
-    if mu == 0 or not residual <= tol * float(np.linalg.norm(r1[-1])):
+    mu, residual, size = _scale_fit(r2[0], r1[-1])
+    # |r1[-1]| = |mu| |r2[0]| up to the residual.
+    if mu == 0 or not residual <= tol * abs(mu) * size:
         raise BadParameters("loops do not share their junction hyperplane")
     samples = LoopSamples._from_rows(np.concatenate((r1, mu * r2[1:])))
     return HyperplaneLoop(l1.n, samples, closure_scale(l1, tol) * closure_scale(l2, tol))

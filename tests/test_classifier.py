@@ -1,4 +1,5 @@
 import cmath
+import collections
 import functools
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qmono import group, loops
+from qmono import geometry, group, loops
 from qmono.errors import (
     AsymptoticSample,
     BadParameters,
@@ -111,6 +112,90 @@ def test_fiber_word_puncture_collision():
     loop = HyperplaneLoop(3, tuple(Hyperplane(c, d) for d in ds), closure_lambda=1.0)
     with pytest.raises(PunctureCollision):
         loops.fiber_word(loop)
+
+
+# --- the collision test against the all-segments formula ----------------
+
+def fiber_letters_oracle(w, tol):
+    """The crossing letters as the all-segments collision test gives them:
+    the exact distance of +1 and -1 to every segment of the closed path."""
+    path = np.concatenate(([0j], w, [0j]))
+    rel = np.array([[1.0], [-1.0]]) - path[:-1]
+    seg = np.diff(path)
+    denom = np.abs(seg) ** 2
+    dot = rel.real * seg.real + rel.imag * seg.imag
+    t = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0.0)
+    near = np.abs(rel - np.clip(t, 0.0, 1.0) * seg) <= tol
+    if near.any():
+        i = int(np.argmax(near.any(axis=0)))
+        raise PunctureCollision(i, f"fiber path segment {i} passes through "
+                                   f"{1.0 if near[0, i] else -1.0:+.0f}")
+    step = np.abs(np.diff(w))
+    reach = np.minimum(np.abs(w[:-1] - 1.0), np.abs(w[:-1] + 1.0))
+    if (step >= reach).any():
+        i = int(np.argmax(step >= reach))
+        raise UndersampledLoop(i, f"fiber step {step[i]:.3g} at sample {i} reaches the nearest puncture")
+    up = path.imag >= 0.0
+    k = np.flatnonzero(up[:-1] != up[1:])
+    z1, z2 = path[k], path[k + 1]
+    xs = z1.real + (z2.real - z1.real) * (-z1.imag) / (z2.imag - z1.imag)
+    exps = np.where(up[k + 1] == (xs > 0.0), 1, -1)
+    return [(ALPHA if x > 0.0 else BETA, e) for x, e in zip(xs.tolist(), exps.tolist()) if abs(x) > 1.0]
+
+
+def letters_outcome(fn, w, tol):
+    try:
+        return fn(w, tol)
+    except QmonoError as exc:
+        return type(exc), exc.index, str(exc)
+
+
+TOLS = [1e-12, 1e-9, 1e-6, 0.01]
+angles = st.floats(0.0, 2 * math.pi)
+# Distances in units of tol, with the boundary itself and its neighbours.
+gaps = st.one_of(st.floats(0.0, 3.0), st.sampled_from([1.0 - 2e-16, 1.0, 1.0 + 2e-16]))
+# A segment steered to pass at gap * tol from a puncture: its two ends.
+grazes = st.tuples(st.just("graze"), st.sampled_from([1.0, -1.0]), gaps, angles,
+                   st.floats(1e-12, 0.6), st.floats(1e-12, 0.6))
+# One point at gap * tol from a puncture.
+touches = st.tuples(st.just("touch"), st.sampled_from([1.0, -1.0]), gaps, angles)
+fars = st.tuples(st.just("far"), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+huges = st.tuples(st.just("huge"), st.floats(100.0, 308.0), angles)
+repeats = st.tuples(st.just("repeat"))
+
+
+def path_points(pieces, tol):
+    points = []
+    for piece in pieces:
+        kind = piece[0]
+        if kind == "graze":
+            _, p, gap, angle, before, after = piece
+            along = cmath.exp(1j * angle)
+            foot = p + 1j * along * gap * tol
+            points += [foot - before * along, foot + after * along]
+        elif kind == "touch":
+            _, p, gap, angle = piece
+            points.append(p + gap * tol * cmath.exp(1j * angle))
+        elif kind == "far":
+            points.append(complex(piece[1], piece[2]))
+        elif kind == "huge":
+            points.append(10.0 ** piece[1] * cmath.exp(1j * piece[2]))
+        elif points:  # repeat: a zero-length segment
+            points.append(points[-1])
+    return np.array(points, dtype=complex)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the huge points
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pieces=st.lists(st.one_of(grazes, touches, fars, huges, repeats), min_size=1, max_size=12),
+       tol=st.sampled_from(TOLS))
+def test_fiber_letters_match_all_segments_formula(pieces, tol):
+    w = path_points(pieces, tol)
+    if len(w) < 2:
+        w = np.concatenate((w, [0.5j, -0.5j]))
+    expected = letters_outcome(fiber_letters_oracle, w, tol)
+    assert letters_outcome(loops._fiber_letters, w, tol) == expected
+    event(expected[0].__name__ if isinstance(expected, tuple) else "letters")
 
 
 # --- classify ----------------------------------------------------------
@@ -337,6 +422,22 @@ def test_classify_builds_no_per_sample_objects(monkeypatch):
 
     monkeypatch.setattr(Hyperplane, "normalized", refuse)
     monkeypatch.setattr(Hyperplane, "__init__", refuse)
+    # Count the passes that scale samples to |c| = 1, including an
+    # inverse_norm imported into loops by name.
+    calls = collections.Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    counted(loops, "incidence")
+    for name in ("_unit_scaled", "inverse_norm"):
+        counted(geometry, name)
+    monkeypatch.setattr(loops, "inverse_norm", geometry.inverse_norm, raising=False)
     assert loops.classify(loops.make_kappa_loop(4)).word == word("k")
     assert loops.kappa_bit(loops.make_kappa_loop(4)) == 1
     assert loops.fiber_word(loops.make_alpha_loop(4)) == ((ALPHA, 1),)
@@ -344,7 +445,11 @@ def test_classify_builds_no_per_sample_objects(monkeypatch):
     k, e = loops.make_kappa_loop(4, m=128), loops.make_constant_loop(4)
     whole = loops.concat(loops.concat(loops.concat(a, loops.reverse(b)), k), e)
     back = loops.loop_from_dict(loops.loop_to_dict(whole))
+    calls.clear()
     assert loops.classify(back).word == word("a b^-1 k")
+    # one incidence pass; the closure, branch and fiber stages reuse its
+    # q, |q| and inverse norms
+    assert calls == {"incidence": 1, "_unit_scaled": 1}
     assert loops.kappa_bit(back) == 1
     assert loops.fiber_word(back) == ((ALPHA, 1), (BETA, -1))
 
@@ -483,6 +588,12 @@ def with_sample(loop, i, h):
     return HyperplaneLoop(loop.n, tuple(samples), loop.closure_lambda)
 
 
+def scaled_loop(loop, factor, closure_lambda):
+    """Every sample of loop times factor."""
+    return HyperplaneLoop(loop.n, loops.LoopSamples(factor * loop.samples.c, factor * loop.samples.d),
+                          closure_lambda)
+
+
 def alpha_with(i, c=None, d=None):
     base = loops.make_alpha_loop(4)
     h = base.samples[i]
@@ -503,6 +614,8 @@ REJECTIONS = {
                     NonFiniteSample, 100),
     "open": (lambda: HyperplaneLoop(3, loops.make_alpha_loop(3).samples[:-40]),
              NotClosed, 216),
+    # |v0|^2 overflows at 1e200; the closure fit once passed this loop
+    "open-1e200": (lambda: scaled_loop(loops.make_alpha_loop(4), 1e200, 2.0), NotClosed, 256),
     "puncture": (lambda: line_loop([0, 0.4, 0.8, 1.2, 1.6, 1.2, 0.8, 0.4, 0]),
                  PunctureCollision, 3),
     "q-step": (lambda: line_loop([0] * 6, [e1, e1, e1, [1, 2j, 0], e1, e1]),
@@ -553,10 +666,15 @@ def test_concat_refuses_non_finite_junction_factor():
 def test_classify_extreme_scale_sample():
     # |c|^2 underflows at 1e-300 and overflows at 1e200; the hyperplane
     # is the same and so is the class
+    alpha, beta = loops.make_alpha_loop(4), loops.make_beta_loop(4)
     for factor in (1e-300, 1e200):
-        loop = loops.make_alpha_loop(4)
-        loop = with_sample(loop, 100, loop.samples[100].scaled(factor))
+        loop = with_sample(alpha, 100, alpha.samples[100].scaled(factor))
         assert loops.classify(loop).word == word("a")
+        # the closure and junction fits at that scale: the fitted factor
+        # was once NaN, and the junction refused
+        assert loops.classify(scaled_loop(alpha, factor, None)).word == word("a")
+        joined = loops.concat(alpha, scaled_loop(beta, factor, 1.0))
+        assert loops.classify(joined).word == word("a b")
 
 
 def test_branch_rejection_index():

@@ -172,8 +172,20 @@ def exact_norm(row):
         return (decimal.Decimal(total.numerator) / decimal.Decimal(total.denominator)).sqrt()
 
 
+def exact_at_unit_norm(row, d):
+    """q = sum c_i^2 / |c|^2 and d / |c|, each part rounded once from exact values."""
+    size2 = sum(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in row)
+    q = (sum(Fraction(z.real) ** 2 - Fraction(z.imag) ** 2 for z in row) / size2,
+         sum(2 * Fraction(z.real) * Fraction(z.imag) for z in row) / size2)
+    norm = exact_norm(row)
+    with decimal.localcontext(decimal.Context(prec=60, Emin=-9999, Emax=9999)):
+        dn = [float(decimal.Decimal(part) / norm) for part in (d.real, d.imag)]
+    return complex(*map(float, q)), complex(*dn)
+
+
 def test_inverse_norm_matches_exact_norm():
     rng = np.random.default_rng(5)
+    eps = np.finfo(float).eps
     for n in range(1, 7):
         # magnitudes spread over 1e-300..1e300 within a row, and bunched within a decade
         spread = 10.0 ** rng.uniform(-300, 300, (200, n))
@@ -186,3 +198,14 @@ def test_inverse_norm_matches_exact_norm():
             for row, value in zip(c, inv):
                 assert float(geometry.inverse_norm(row)) == value  # 1-d input, same rounding
                 assert abs(decimal.Decimal(float(value)) * exact_norm(row) - 1) <= decimal.Decimal("1e-15")
+            # incidence scales each row once: q and d at |c| = 1 within a few
+            # ulps of the exact values (|q| <= 1 sets q's scale), its |q| and
+            # inverse norms within an ulp of abs(q) and inverse_norm(c)
+            d = mags.max(axis=1) * (rng.normal(size=len(c)) + 1j * rng.normal(size=len(c)))
+            inc = geometry.incidence(c, d)
+            assert np.all(abs(inc.size - abs(inc.q)) <= np.spacing(inc.size))
+            assert np.all(abs(inc.inv - inv) <= np.spacing(inv))
+            for row, di, q, dn in zip(c, d, inc.q, inc.d):
+                exact_q, exact_d = exact_at_unit_norm(row, di)
+                assert abs(q - exact_q) <= 4 * eps
+                assert abs(dn - exact_d) <= 4 * eps * abs(exact_d)
