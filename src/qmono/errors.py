@@ -66,9 +66,6 @@ class NotClosed(SampleError):
 class NotGeneralPosition(SampleError):
     """A loop sample is tangent or asymptotic."""
 
-    def __init__(self, index: int, message: str | None = None):
-        super().__init__(index, message or f"sample {index} is not in general position")
-
 
 class BadTolerance(QmonoError):
     """The tolerance is not a finite number with 0 < tol < 1."""

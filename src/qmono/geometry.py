@@ -103,7 +103,10 @@ def incidence(c: np.ndarray, d: np.ndarray, tol: float | None = None) -> Inciden
     u, size2, inv = _unit_scaled(c)
     q = np.sum(u * u, axis=1) / size2
     dn = d * inv
-    d2 = dn * dn
+    # Past |d| = 2^64, |d^2 - q| exceeds both tol |d|^2 and |q| for every tol < 1, as |q| <= 1,
+    # so d enters both tests at modulus 2^64, where d^2 cannot overflow.
+    clipped = np.where(np.abs(dn) > 2.0 ** 64, 2.0 ** 64, dn)
+    d2 = clipped * clipped
     gap = np.abs(d2 - q)
     size = np.abs(q)
     tangent = gap <= tol * np.maximum(np.maximum(np.abs(d2), size), 1.0)

@@ -19,13 +19,16 @@ sign(Re(r_{i+1} conj(r_i))); the q-step check |q_{i+1} - q_i| < |q_i| keeps
 r_{i+1} / r_i within pi/4 of +-1, so the sign never ties.  A refusal names
 the first offending sample; the checks run in the order non-finite, general
 position, closure, q-step, branch endpoint, puncture collision, fiber step.
+`kappa_bit` and `fiber_word` are the two parts of `classify`'s word, not passes
+of their own, so they refuse what it refuses, with the same error.
 
 Each sample is scaled to |c| = 1 once, by `geometry.incidence`; the closure
 factor, the branch and the fiber path reuse its q, |q| and inverse norms.  The
 puncture-collision test bounds the distance of p = +-1 to a fiber segment
 [a, b] from below by (|a - p| + |b - p| - |b - a|) / 2, from distances the
 fiber-step check needs anyway, and finds the exact distance only on the few
-segments where that bound, less a few ulps for rounding, does not clear tol.
+segments where that bound, less a few ulps for rounding, does not clear tol,
+in units of a power of two above the segment's length so that no square overflows.
 
 Crossing conventions are fixed so that the model generator loops
 (counterclockwise around +1, counterclockwise around -1, and the
@@ -46,7 +49,7 @@ from . import group, representation
 from .errors import (AsymptoticSample, BadParameters, BranchAmbiguity, DimensionTooSmall,
                      NonFiniteSample, NotClosed, NotGeneralPosition, PunctureCollision,
                      UndersampledLoop, ZeroCoefficientVector)
-from .geometry import Hyperplane, Incidence, default_tol, incidence
+from .geometry import Hyperplane, default_tol, incidence
 from .group import FreeWord, GroupWord
 from .representation import MonodromyMatrix, Parity
 
@@ -199,24 +202,6 @@ def closure_scale(loop: HyperplaneLoop, tol: float | None = None) -> complex:
     return lam
 
 
-def _incidence(loop: HyperplaneLoop, tol: float) -> Incidence:
-    """Refuse non-finite samples and evaluate the rest at |c| = 1."""
-    s = loop.samples
-    _refuse(~np.isfinite(s.rows).all(axis=1), NonFiniteSample,
-            "sample {i} has a non-finite coefficient or offset")
-    inc = incidence(s.c, s.d, tol)
-    # Subnormal coefficients, or an offset too large for |c| = 1.
-    _refuse(~(np.isfinite(inc.q) & np.isfinite(inc.d)), NonFiniteSample,
-            "sample {i} is not finite at |c| = 1")
-    return inc
-
-
-def _normalized_closure(loop: HyperplaneLoop, inc: Incidence, tol: float) -> complex:
-    # Per-sample normalization rescales the endpoints by positive reals,
-    # so the closure factor picks up the ratio of coefficient norms.
-    return closure_scale(loop, tol) * float(inc.inv[-1] / inc.inv[0])
-
-
 def _branch_bit(lam: complex, branch: np.ndarray) -> int:
     """0 if the branch ends at +lam s_0, 1 if at -lam s_0."""
     end, target = complex(branch[-1]), lam * complex(branch[0])
@@ -229,14 +214,6 @@ def _branch_bit(lam: complex, branch: np.ndarray) -> int:
     raise BranchAmbiguity(
         branch.size - 1, f"branch endpoint at sample {branch.size - 1} matches neither "
         f"+-lambda s_0 (residuals {same:.3g}, {flipped:.3g})")
-
-
-def kappa_bit(loop: HyperplaneLoop, tol: float | None = None) -> int:
-    """0 if the sqrt branch closes up to lambda, 1 if it flips sign."""
-    tol = default_tol(tol)
-    inc = _incidence(loop, tol)
-    lam = _normalized_closure(loop, inc, tol)
-    return _branch_bit(lam, _sqrt_branch(inc.q, inc.size, tol)[0])
 
 
 def _fiber_letters(w: np.ndarray, tol: float) -> List[group.Letter]:
@@ -254,11 +231,14 @@ def _fiber_letters(w: np.ndarray, tol: float) -> List[group.Letter]:
     cleared = ends - length > 2.0 * tol + 16.0 * np.finfo(float).eps * (ends + length)
     unclear = np.flatnonzero(~cleared.all(axis=0))
     if unclear.size:
-        rel = _PUNCTURES - path[unclear]
-        denom = length[unclear] ** 2
-        dot = rel.real * seg[unclear].real + rel.imag * seg[unclear].imag
+        # Measured in units of a power of two above max(|b - a|, 1/2), so that no square
+        # overflows; the scaling is exact, and is 1 on segments shorter than 1.
+        unit = np.ldexp(1.0, -np.frexp(np.maximum(length[unclear], 0.5))[1])
+        rel, span = (_PUNCTURES - path[unclear]) * unit, seg[unclear] * unit
+        denom = (length[unclear] * unit) ** 2
+        dot = rel.real * span.real + rel.imag * span.imag
         t = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0.0)
-        near = np.abs(rel - np.clip(t, 0.0, 1.0) * seg[unclear]) <= tol
+        near = np.abs(rel - np.clip(t, 0.0, 1.0) * span) <= tol * unit
         hit = near.any(axis=0)
         if hit.any():
             j = int(np.argmax(hit))
@@ -281,19 +261,21 @@ def _fiber_letters(w: np.ndarray, tol: float) -> List[group.Letter]:
             for x, e in zip(xs.tolist(), exps.tolist()) if abs(x) > 1.0]
 
 
-def fiber_word(loop: HyperplaneLoop, tol: float | None = None) -> FreeWord:
-    """Crossing word of the fiber path w_t = d_t / s_t, freely reduced."""
-    tol = default_tol(tol)
-    inc = _incidence(loop, tol)
-    return group.free_reduce(_fiber_letters(inc.d / _sqrt_branch(inc.q, inc.size, tol)[0], tol))
-
-
 def classify(loop: HyperplaneLoop, tol: float | None = None) -> ClassificationResult:
-    """Group element of a sampled loop, with matrices and diagnostics."""
+    """Group element of a sampled loop, with matrices and diagnostics.  The checks run
+    in the order of the module docstring; the first that fails refuses the loop."""
     tol = default_tol(tol)
-    inc = _incidence(loop, tol)
+    s = loop.samples
+    _refuse(~np.isfinite(s.rows).all(axis=1), NonFiniteSample,
+            "sample {i} has a non-finite coefficient or offset")
+    inc = incidence(s.c, s.d, tol)
+    # Subnormal coefficients, or an offset too large for |c| = 1.
+    _refuse(~(np.isfinite(inc.q) & np.isfinite(inc.d)), NonFiniteSample,
+            "sample {i} is not finite at |c| = 1")
     _refuse(inc.tangent | inc.asymptotic, NotGeneralPosition, "sample {i} is not in general position")
-    lam = _normalized_closure(loop, inc, tol)
+    # Per-sample normalization rescales the endpoints by positive reals,
+    # so the closure factor picks up the ratio of coefficient norms.
+    lam = closure_scale(loop, tol) * float(inc.inv[-1] / inc.inv[0])
     branch, step = _sqrt_branch(inc.q, inc.size, tol)
     bit = _branch_bit(lam, branch)
     letters = _fiber_letters(inc.d / branch, tol)
@@ -307,6 +289,16 @@ def classify(loop: HyperplaneLoop, tol: float | None = None) -> ClassificationRe
         matrix_odd=representation.matrix_of(word, Parity.ODD),
         diagnostics=diags,
     )
+
+
+def kappa_bit(loop: HyperplaneLoop, tol: float | None = None) -> int:
+    """The kappa bit of classify's word: 1 if the sqrt branch flips sign, else 0."""
+    return classify(loop, tol).word.kappa_bit
+
+
+def fiber_word(loop: HyperplaneLoop, tol: float | None = None) -> FreeWord:
+    """The free part of classify's word: the crossing word of w_t = d_t / s_t, freely reduced."""
+    return classify(loop, tol).word.free_part
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ import collections
 import functools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from qmono import geometry, group, loops
@@ -106,9 +107,9 @@ def test_fiber_word_fixtures():
 
 
 def test_fiber_word_puncture_collision():
-    # d-path runs straight through the puncture at w = +1
+    # d-path runs straight through the puncture at w = +1, between samples: one on it is tangent
     c = [1.0, 0, 0]
-    ds = [2.0 * t / 64 for t in range(65)] + [2.0 * (64 - t) / 64 for t in range(1, 65)]
+    ds = [2.0 * t / 63 for t in range(64)] + [2.0 * (63 - t) / 63 for t in range(1, 64)]
     loop = HyperplaneLoop(3, tuple(Hyperplane(c, d) for d in ds), closure_lambda=1.0)
     with pytest.raises(PunctureCollision):
         loops.fiber_word(loop)
@@ -120,12 +121,16 @@ def fiber_letters_oracle(w, tol):
     """The crossing letters as the all-segments collision test gives them:
     the exact distance of +1 and -1 to every segment of the closed path."""
     path = np.concatenate(([0j], w, [0j]))
-    rel = np.array([[1.0], [-1.0]]) - path[:-1]
     seg = np.diff(path)
-    denom = np.abs(seg) ** 2
+    length = np.abs(seg)
+    # In units of a power of two above max(|seg|, 1/2): exact, and no square overflows.
+    unit = np.ldexp(1.0, -np.frexp(np.maximum(length, 0.5))[1])
+    rel = (np.array([[1.0], [-1.0]]) - path[:-1]) * unit
+    seg = seg * unit
+    denom = (length * unit) ** 2
     dot = rel.real * seg.real + rel.imag * seg.imag
     t = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0.0)
-    near = np.abs(rel - np.clip(t, 0.0, 1.0) * seg) <= tol
+    near = np.abs(rel - np.clip(t, 0.0, 1.0) * seg) <= tol * unit
     if near.any():
         i = int(np.argmax(near.any(axis=0)))
         raise PunctureCollision(i, f"fiber path segment {i} passes through "
@@ -185,8 +190,9 @@ def path_points(pieces, tol):
     return np.array(points, dtype=complex)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the huge points
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # points near 1e308
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example(pieces=[("huge", 155.0, 0.0)], tol=1e-9)  # |seg|^2 overflows
 @given(pieces=st.lists(st.one_of(grazes, touches, fars, huges, repeats), min_size=1, max_size=12),
        tol=st.sampled_from(TOLS))
 def test_fiber_letters_match_all_segments_formula(pieces, tol):
@@ -196,6 +202,21 @@ def test_fiber_letters_match_all_segments_formula(pieces, tol):
     expected = letters_outcome(fiber_letters_oracle, w, tol)
     assert letters_outcome(loops._fiber_letters, w, tol) == expected
     event(expected[0].__name__ if isinstance(expected, tuple) else "letters")
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("exponent", [155, 200, 250, 300])
+def test_huge_segments_measured_without_overflow(exponent, tol):
+    # |b - a|^2 overflows past 1.3e154, and such a segment through a puncture once passed
+    far = 10.0 ** exponent
+    for p in (1.0, -1.0):
+        with pytest.raises(PunctureCollision, match=re.escape(f"segment 0 passes through {p:+.0f}")):
+            loops._fiber_letters(np.array([p * far, 0.5j]), tol)
+        # parallel to the real axis at 2 tol from both punctures: the collision check
+        # passes it, and the fiber-step check after it refuses the long step
+        h = 2.0 * tol * p * 1j
+        with pytest.raises(UndersampledLoop):
+            loops._fiber_letters(np.array([h, h - far, h + far, h]), tol)
 
 
 # --- classify ----------------------------------------------------------
@@ -539,14 +560,8 @@ def classify_outcome(loop):
     return str(result.word), repr(result.diagnostics)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # |v|^2 of the end rows overflows at 1e200
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(3, 5),
-       letters=st.lists(st.sampled_from(["a", "b", "k", "a^-1", "b^-1", "k^-1"]), min_size=1,
-                        max_size=4),
-       scale=st.sampled_from([1.0, -1j, 2.0 + 1.0j, 1e-300, 1e200]),
-       noise=st.sampled_from([0.0, 1e-6, 1e-3, 0.1]), seed=st.integers(0, 2**32 - 1))
-def test_classify_is_layout_independent(n, letters, scale, noise, seed):
+def composite_rows(n, letters, noise, seed):
+    """The rows and closure factor of a composite of 64-sample generator pieces, with noise."""
     pieces = cached_pieces(n, 64)
     loop = pieces[letters[0]]
     for letter in letters[1:]:
@@ -555,11 +570,26 @@ def test_classify_is_layout_independent(n, letters, scale, noise, seed):
     # noise off the end rows keeps the closure factor
     shake = np.random.default_rng(seed).normal(size=rows.shape + (2,)) @ [1.0, 1.0j]
     rows[1:-1] += noise * shake[1:-1]
+    return rows, loop.closure_lambda
+
+
+composites = dict(
+    n=st.integers(3, 5),
+    letters=st.lists(st.sampled_from(["a", "b", "k", "a^-1", "b^-1", "k^-1"]), min_size=1,
+                     max_size=4),
+    scale=st.sampled_from([1.0, -1j, 2.0 + 1.0j, 1e-300, 1e200]),
+    noise=st.sampled_from([0.0, 1e-6, 1e-3, 0.1]), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(**composites)
+def test_classify_is_layout_independent(n, letters, scale, noise, seed):
+    rows, closure_lambda = composite_rows(n, letters, noise, seed)
     rows *= scale
     wide = np.zeros((3 * len(rows), 2 * n + 2), dtype=complex)
     wide[::3, ::2] = rows
     outcomes = {classify_outcome(HyperplaneLoop(n, loops.LoopSamples(layout[:, :n], layout[:, n]),
-                                                loop.closure_lambda))
+                                                closure_lambda))
                 for layout in (np.ascontiguousarray(rows), np.asfortranarray(rows), wide[::3, ::2])}
     assert len(outcomes) == 1
     outcome = outcomes.pop()
@@ -625,9 +655,13 @@ REJECTIONS = {
 }
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
-    if name == "subnormal-c" else name for name in sorted(REJECTIONS)])
+def refusal_names(table):
+    # the subnormal coefficients overflow on the way to |c| = 1, as the test expects
+    return [pytest.param(name, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+            if name == "subnormal-c" else name for name in sorted(table)]
+
+
+@pytest.mark.parametrize("name", refusal_names(REJECTIONS))
 def test_classify_rejection_index(name):
     make, error, index = REJECTIONS[name]
     with pytest.raises(error) as info:
@@ -661,6 +695,65 @@ def test_concat_refuses_non_finite_junction_factor():
     for l1, l2 in ((nan_end, a), (a, tiny)):
         with pytest.raises(BadParameters, match="junction"):
             loops.concat(l1, l2)
+
+
+# --- kappa_bit and fiber_word are views of classify -----------------------
+
+def assert_views_of_classify(loop):
+    """kappa_bit and fiber_word give the parts of classify's word, or its refusal with the
+    same class, index and message; returns classify's result or refusal."""
+    def outcome(call):
+        try:
+            return call(loop)
+        except QmonoError as exc:
+            return type(exc), getattr(exc, "index", None), str(exc)
+    whole = outcome(loops.classify)
+    if isinstance(whole, loops.ClassificationResult):
+        parts = whole.word.kappa_bit, whole.word.free_part
+    else:
+        parts = whole, whole
+    assert (outcome(loops.kappa_bit), outcome(loops.fiber_word)) == parts
+    return whole
+
+
+# Loops that kappa_bit or fiber_word once answered while classify refused them: kappa_bit
+# gave 0 on all but open-end, fiber_word gave a on open-end and () on constant-1e+160 and
+# constant-1e+250.  The constant loops' fiber path runs from 0 out through +1.
+VIEW_PROBES = {
+    "tangent-64": (lambda: alpha_with(64, d=1.0), NotGeneralPosition, 64),
+    "open-end": (lambda: HyperplaneLoop(4, alpha_with(256, d=0.5).samples), NotClosed, 256),
+    **{f"constant-{d:.0e}": (functools.partial(line_loop, [d] * 65), PunctureCollision, 0)
+       for d in (1e100, 1e160, 1e250)},
+}
+REFUSALS = {**REJECTIONS, **VIEW_PROBES}
+
+
+@pytest.mark.parametrize("name", refusal_names(REFUSALS))
+def test_views_refuse_what_classify_refuses(name):
+    make, error, index = REFUSALS[name]
+    assert assert_views_of_classify(make())[:2] == (error, index)
+
+
+@settings(max_examples=240, deadline=None, derandomize=True, database=None)
+@given(**composites, mutation=st.sampled_from(["none", "tangent", "open", "puncture"]),
+       where=st.integers(0, 2**16), inferred=st.booleans())
+def test_kappa_bit_and_fiber_word_are_views_of_classify(n, letters, scale, noise, seed,
+                                                        mutation, where, inferred):
+    rows, closure_lambda = composite_rows(n, letters, noise, seed)
+    i = where % len(rows)
+    if mutation == "tangent":
+        rows[i, n] = np.sqrt(np.sum(rows[i, :n] ** 2))  # d^2 = q
+    elif mutation == "open":
+        rows[-1, n] += 0.5
+    elif mutation == "puncture":
+        # The end rows start at c = e1, so w_0 = d_0: the segment from 0 runs through +-1.
+        rows[0, n] = 2.0 if i % 2 else -3.0
+        rows[-1, n] = closure_lambda * rows[0, n]
+    rows *= scale
+    loop = HyperplaneLoop(n, loops.LoopSamples(rows[:, :n], rows[:, n]),
+                          None if inferred else closure_lambda)
+    whole = assert_views_of_classify(loop)
+    event(f"{mutation}: " + (whole[0].__name__ if isinstance(whole, tuple) else "classified"))
 
 
 def test_classify_extreme_scale_sample():

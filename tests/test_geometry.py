@@ -76,6 +76,18 @@ def test_general_position_examples():
     assert not geometry.in_general_position(Hyperplane([1, 1j, 0], 5.0))
 
 
+@pytest.mark.parametrize("d", [2.0 ** 64, 2.0 ** 64 * (1 + 2 ** -52), 1e155, 1e200, -1e300j])
+def test_far_offset_in_general_position(d):
+    # d^2 at |c| = 1 overflows past |d| = 1.3e154, and such a sample once counted as tangent
+    for c, q in (([1, 0, 0], 1.0), ([3, 4j, 0], 0.28)):
+        h = Hyperplane(c, d)
+        assert geometry.in_general_position(h)
+        assert not geometry.is_tangent(h, tol=1 - 2 ** -53)
+        assert geometry.discriminant_margin(h) == pytest.approx(q, rel=1e-15)
+    # a near offset can still be tangent at a tolerance near 1: |25 - 1| <= 0.99 * 25
+    assert geometry.is_tangent(Hyperplane([1, 0], 5.0), tol=0.99)
+
+
 def test_discriminant_margin_examples():
     assert geometry.discriminant_margin(Hyperplane([1, 0], 0.0)) == pytest.approx(1.0)
     assert geometry.discriminant_margin(Hyperplane([1, 0], 1.0)) == pytest.approx(0.0)
