@@ -4,6 +4,10 @@ Every subcommand prints a human-readable summary by default and a
 machine-readable document with --json.  Complex numbers are serialized
 as [re, im] pairs.  Exit status: 0 success, 1 domain error, 2 usage
 error.  The env var QMONO_TOL overrides the default tolerance 1e-9.
+
+Each `_cmd_*` handler returns its (document, text), `selftest` also its
+exit status; `main` alone prints one of the two, maps a QmonoError or an
+OSError (printing included) to `error: ...` and exit status 1.
 """
 
 from __future__ import annotations
@@ -15,44 +19,27 @@ import sys
 from typing import Sequence
 
 from . import group, homology, orbits, representation
-from .errors import MalformedLoopFile, QmonoError
+from .errors import BadParameters, MalformedLoopFile, QmonoError
 from .representation import Parity
 
 
-def _emit(args: argparse.Namespace, document: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(document, sort_keys=True))
-    else:
-        print(text)
+# name -> (operation on the parsed word arguments, their names, help text)
+_WORD_COMMANDS = {
+    "normalize": (lambda g: g, ("word",), "normal form of a word"),
+    "multiply": (group.multiply, ("word1", "word2"), "product of two words"),
+    "invert": (group.invert, ("word",), "inverse of a word"),
+}
 
 
-def _word_document(g: group.GroupWord) -> dict:
-    return {
-        "word": group.format_word(g),
-        "free_part": [[gen, exp] for gen, exp in g.free_part],
-        "kappa_bit": g.kappa_bit,
-    }
+def _cmd_word(args):
+    operation, names, _ = _WORD_COMMANDS[args.subcommand]
+    g = operation(*(group.parse_word(getattr(args, name)) for name in names))
+    word = group.format_word(g)
+    return {"word": word, "free_part": [[gen, exp] for gen, exp in g.free_part],
+            "kappa_bit": g.kappa_bit}, word
 
 
-def _cmd_normalize(args) -> int:
-    g = group.parse_word(args.word)
-    _emit(args, _word_document(g), group.format_word(g))
-    return 0
-
-
-def _cmd_multiply(args) -> int:
-    g = group.multiply(group.parse_word(args.word1), group.parse_word(args.word2))
-    _emit(args, _word_document(g), group.format_word(g))
-    return 0
-
-
-def _cmd_invert(args) -> int:
-    g = group.invert(group.parse_word(args.word))
-    _emit(args, _word_document(g), group.format_word(g))
-    return 0
-
-
-def _cmd_rep(args) -> int:
+def _cmd_rep(args):
     parity = Parity.from_dimension(args.n)
     g = group.parse_word(args.word)
     m = representation.matrix_of(g, parity)
@@ -64,17 +51,16 @@ def _cmd_rep(args) -> int:
         "det": m.det(),
         "quotient_character": representation.quotient_character(g, parity),
     }
-    text = (f"matrix {m.rows()}  det {m.det()}  "
-            f"quotient_character {document['quotient_character']}")
-    _emit(args, document, text)
-    return 0
+    return document, (f"matrix {m.rows()}  det {m.det()}  "
+                      f"quotient_character {document['quotient_character']}")
 
 
-def _parse_point(text: str) -> tuple[int, int]:
+def _lattice_point(text: str) -> tuple[int, int]:
+    """argparse type: a lattice point 'u,v'."""
     try:
         u, v = (int(part) for part in text.split(","))
     except ValueError:
-        raise QmonoError(f"expected a lattice point 'u,v', got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a lattice point 'u,v', got {text!r}") from None
     return (u, v)
 
 
@@ -91,24 +77,21 @@ def _int_at_least(low: int):
     return parse
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args):
     parity = Parity.from_dimension(args.n)
-    start = _parse_point(args.start)
     report = orbits.verify_orbit_claim(args.radius, args.max_word_len, parity,
-                                       start=start)
+                                       start=args.start)
     document = {
         "n": args.n,
         "parity": parity.value,
-        "start": list(start),
+        "start": list(args.start),
         "box_radius": report.box_radius,
         "max_word_len": report.max_word_len,
-        "reached": sorted(map(list, report.reached)),
-        "claimed": sorted(map(list, report.claimed)),
-        "missing": sorted(map(list, report.missing)),
-        "extraneous": sorted(map(list, report.extraneous)),
         "ok": report.ok(),
+        **{name: sorted(map(list, getattr(report, name)))
+           for name in ("reached", "claimed", "missing", "extraneous")},
     }
-    text = "\n".join([
+    return document, "\n".join([
         f"reached {len(report.reached)} points "
         f"(word length <= {report.max_word_len})",
         f"claimed in box radius {report.box_radius}: {len(report.claimed)}",
@@ -116,21 +99,20 @@ def _cmd_orbit(args) -> int:
         f"extraneous: {sorted(report.extraneous)}",
         f"ok: {report.ok()}",
     ])
-    _emit(args, document, text)
-    return 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     from . import loops  # numpy loads only for the loop commands
 
     with open(args.loop_file) as fh:
         try:
             loop = loops.loop_from_dict(json.load(fh))
-        except (IndexError, KeyError, OverflowError, RecursionError, TypeError,
-                ValueError) as exc:  # not JSON, or not the loop format
+        except MalformedLoopFile as exc:
+            raise MalformedLoopFile(f"{args.loop_file}: {exc}") from None
+        except (RecursionError, ValueError) as exc:  # not JSON
             raise MalformedLoopFile(f"{args.loop_file}: {type(exc).__name__}: {exc}") from None
     if args.n is not None and args.n != loop.n:
-        raise QmonoError(f"--n {args.n} does not match loop dimension {loop.n}")
+        raise BadParameters(f"--n {args.n} does not match loop dimension {loop.n}")
     result = loops.classify(loop)
     diags = result.diagnostics
     document = {
@@ -140,7 +122,7 @@ def _cmd_classify(args) -> int:
         "matrix_odd": result.matrix_odd.rows(),
         "diagnostics": dataclasses.asdict(diags),
     }
-    text = "\n".join([
+    return document, "\n".join([
         f"word: {group.format_word(result.word)}",
         f"matrix (even n): {result.matrix_even.rows()}",
         f"matrix (odd n):  {result.matrix_odd.rows()}",
@@ -148,57 +130,48 @@ def _cmd_classify(args) -> int:
         f"max step {diags.max_relative_step:.3g}, "
         f"crossings {diags.crossing_count}, branch flip {diags.branch_flip}",
     ])
-    _emit(args, document, text)
-    return 0
 
 
-def _cmd_homology(args) -> int:
+def _ranks(table: dict) -> dict:
+    """A degree -> rank table with its degrees as JSON keys."""
+    return {str(degree): rank for degree, rank in table.items()}
+
+
+def _cmd_homology(args):
     table = homology.homology_table(args.n)
     document = {
         "n": table.n,
-        "relative": {str(k): v for k, v in sorted(table.relative.items())},
-        "absolute_reduced": {str(k): v for k, v in sorted(table.absolute.items())},
-        "pieces": {name: {str(k): v for k, v in sorted(ranks.items())}
-                   for name, ranks in sorted(table.pieces.items())},
+        "relative": _ranks(table.relative),
+        "absolute_reduced": _ranks(table.absolute),
+        "pieces": {name: _ranks(ranks) for name, ranks in table.pieces.items()},
     }
-    lines = [f"H_i(C^{table.n}, A u L) ranks:"]
-    for degree in range(table.n + 2):
-        lines.append(f"  degree {degree}: {table.relative.get(degree, 0)}")
-    _emit(args, document, "\n".join(lines))
-    return 0
+    return document, "\n".join(
+        [f"H_i(C^{table.n}, A u L) ranks:"]
+        + [f"  degree {i}: {table.relative.get(i, 0)}" for i in range(table.n + 2)])
 
 
-def _cmd_make_loop(args) -> int:
+def _cmd_make_loop(args):
     from . import loops
 
-    if args.kind == "alpha":
-        loop = loops.make_alpha_loop(args.n, args.eps, args.samples)
-    elif args.kind == "beta":
-        loop = loops.make_beta_loop(args.n, args.eps, args.samples)
-    else:
-        loop = loops.make_kappa_loop(args.n, args.samples)
+    makers = {"alpha": loops.make_alpha_loop, "beta": loops.make_beta_loop,
+              "kappa": lambda n, _eps, m: loops.make_kappa_loop(n, m)}
+    loop = makers[args.kind](args.n, args.eps, args.samples)
     with open(args.output, "w") as fh:
         json.dump(loops.loop_to_dict(loop), fh)
         fh.write("\n")
-    _emit(args, {"written": args.output, "kind": args.kind,
-                 "samples": len(loop.samples)},
-          f"wrote {args.kind} loop ({len(loop.samples)} samples) to {args.output}")
-    return 0
+    samples = len(loop.samples)
+    return ({"written": args.output, "kind": args.kind, "samples": samples},
+            f"wrote {args.kind} loop ({samples} samples) to {args.output}")
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args):
     from . import selftest
 
     results = selftest.run_selftest()
-    document = {"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                           for r in results],
-                "ok": all(r.passed for r in results)}
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status} {r.name}" + (f": {r.detail}" if r.detail else ""))
-    _emit(args, document, "\n".join(lines))
-    return 0 if document["ok"] else 1
+    ok = all(r.passed for r in results)
+    text = "\n".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}"
+                     + (f": {r.detail}" if r.detail else "") for r in results)
+    return {"checks": [dataclasses.asdict(r) for r in results], "ok": ok}, text, int(not ok)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,15 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("normalize", _cmd_normalize, help="normal form of a word")
-    p.add_argument("word")
-
-    p = add("multiply", _cmd_multiply, help="product of two words")
-    p.add_argument("word1")
-    p.add_argument("word2")
-
-    p = add("invert", _cmd_invert, help="inverse of a word")
-    p.add_argument("word")
+    for name, (_, words, summary) in _WORD_COMMANDS.items():
+        p = add(name, _cmd_word, help=summary)
+        for word in words:
+            p.add_argument(word)
 
     p = add("rep", _cmd_rep, help="monodromy matrix of a word")
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
@@ -232,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("orbit", _cmd_orbit, help="lattice orbit report")
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p.add_argument("--start", default="1,0", help="start point u,v")
+    p.add_argument("--start", type=_lattice_point, default="1,0", help="start point u,v")
     p.add_argument("--radius", type=_int_at_least(1), default=8, help="box radius")
     p.add_argument("--max-word-len", type=_int_at_least(0), default=12)
 
@@ -258,13 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        document, text, *status = args.func(args)
+        print(json.dumps(document, sort_keys=True) if args.json else text)
     except QmonoError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except OSError as exc:  # the file, or the pipe on stdout
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return status[0] if status else 0
 
 
 def entry() -> None:

@@ -72,7 +72,7 @@ class BadTolerance(QmonoError):
 
 
 class MalformedLoopFile(QmonoError):
-    """A loop document is not valid JSON or lacks the loop format's keys."""
+    """A loop document is not valid JSON or not in the loop format."""
 
 
 class BadParameters(QmonoError):

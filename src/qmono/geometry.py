@@ -5,17 +5,19 @@ A hyperplane {<c, z> = d} (complex bilinear pairing, no conjugation) is
 tangent to it iff d^2 = q and asymptotic iff q = 0, where q = sum c_i^2.
 Both criteria are evaluated on the scale-normalized representative with
 |c| = 1, so all predicates are invariant under (c, d) -> (lambda c,
-lambda d).  The scalar predicates are the m = 1 case of `incidence`.
+lambda d).  The scalar predicates are the m = 1 case of `incidence`, and
+refuse as NonFiniteSample a hyperplane that classify refuses as one.
 """
 
 from __future__ import annotations
 
+import cmath
 import os
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import BadTolerance, ZeroCoefficientVector
+from .errors import BadTolerance, NonFiniteSample, ZeroCoefficientVector
 
 DEFAULT_TOL = 1e-9
 
@@ -113,21 +115,33 @@ def incidence(c: np.ndarray, d: np.ndarray, tol: float | None = None) -> Inciden
     return Incidence(q, size, dn, inv, tangent, size <= tol, np.minimum(gap, size))
 
 
+def _incidence_of(h: Hyperplane, tol: float | None) -> Incidence:
+    """`incidence` of the one hyperplane h.  As classify refuses such a sample, a NaN or
+    infinite coefficient or offset, or one that is not finite once scaled to |c| = 1,
+    raises NonFiniteSample(0, ...)."""
+    if not (np.isfinite(h.c).all() and cmath.isfinite(h.d)):
+        raise NonFiniteSample(0, "hyperplane has a non-finite coefficient or offset")
+    inc = incidence(h.c[None], np.array([h.d]), tol)
+    if not (cmath.isfinite(inc.q[0]) and cmath.isfinite(inc.d[0])):
+        raise NonFiniteSample(0, "hyperplane is not finite at |c| = 1")
+    return inc
+
+
 def is_tangent(h: Hyperplane, tol: float | None = None) -> bool:
     """True iff the hyperplane is tangent to the quadric: d^2 = q."""
-    return bool(incidence(h.c[None], np.array([h.d]), tol).tangent[0])
+    return bool(_incidence_of(h, tol).tangent[0])
 
 
 def is_asymptotic(h: Hyperplane, tol: float | None = None) -> bool:
     """True iff the hyperplane's direction is isotropic: q = 0."""
-    return bool(incidence(h.c[None], np.array([h.d]), tol).asymptotic[0])
+    return bool(_incidence_of(h, tol).asymptotic[0])
 
 
 def in_general_position(h: Hyperplane, tol: float | None = None) -> bool:
-    inc = incidence(h.c[None], np.array([h.d]), tol)
+    inc = _incidence_of(h, tol)
     return not (inc.tangent[0] or inc.asymptotic[0])
 
 
 def discriminant_margin(h: Hyperplane) -> float:
     """Distance proxy to the discriminant: min(|d^2 - q|, |q|) at |c| = 1."""
-    return float(incidence(h.c[None], np.array([h.d])).margin[0])
+    return float(_incidence_of(h, None).margin[0])

@@ -47,8 +47,8 @@ import numpy as np
 
 from . import group, representation
 from .errors import (AsymptoticSample, BadParameters, BranchAmbiguity, DimensionTooSmall,
-                     NonFiniteSample, NotClosed, NotGeneralPosition, PunctureCollision,
-                     UndersampledLoop, ZeroCoefficientVector)
+                     MalformedLoopFile, NonFiniteSample, NotClosed, NotGeneralPosition,
+                     PunctureCollision, UndersampledLoop, ZeroCoefficientVector)
 from .geometry import Hyperplane, default_tol, incidence
 from .group import FreeWord, GroupWord
 from .representation import MonodromyMatrix, Parity
@@ -383,17 +383,22 @@ def loop_to_dict(loop: HyperplaneLoop) -> dict:
 
 def loop_from_dict(data: dict) -> HyperplaneLoop:
     """Inverse of loop_to_dict.  A document outside the format raises
-    KeyError, TypeError or ValueError; non-finite numbers are left for
-    classify to refuse."""
-    samples = data["samples"]
-    sizes = [len(s["c"]) for s in samples]
-    # Each sample's coefficient pairs, then its offset pair.
-    pairs = np.array([p for s in samples for p in (*s["c"], s["d"])] or np.zeros((0, 2)))
-    if pairs.dtype.kind not in "biuf" or pairs.shape[1:] != (2,):
-        raise ValueError("expected [re, im] pairs of numbers")
-    lam = data.get("closure_lambda")
-    lam = None if lam is None else complex(lam[0], lam[1])
-    n = int(data["n"])
-    _check_shape(n, len(sizes), sizes)
-    rows = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1, n + 1)
-    return HyperplaneLoop(n, LoopSamples._from_rows(rows), closure_lambda=lam)
+    MalformedLoopFile, whose message names the error found, such as
+    "KeyError: 'samples'"; a loop of the wrong shape raises what
+    HyperplaneLoop raises, and non-finite numbers are left for classify
+    to refuse."""
+    try:
+        samples = data["samples"]
+        sizes = [len(s["c"]) for s in samples]
+        # Each sample's coefficient pairs, then its offset pair.
+        pairs = np.array([p for s in samples for p in (*s["c"], s["d"])] or np.zeros((0, 2)))
+        if pairs.dtype.kind not in "biuf" or pairs.shape[1:] != (2,):
+            raise ValueError("expected [re, im] pairs of numbers")
+        lam = data.get("closure_lambda")
+        lam = None if lam is None else complex(lam[0], lam[1])
+        n = int(data["n"])
+        _check_shape(n, len(sizes), sizes)
+        rows = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1, n + 1)
+        return HyperplaneLoop(n, LoopSamples._from_rows(rows), closure_lambda=lam)
+    except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise MalformedLoopFile(f"{type(exc).__name__}: {exc}") from None

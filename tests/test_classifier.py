@@ -16,6 +16,7 @@ from qmono.errors import (
     BadParameters,
     BadTolerance,
     DimensionTooSmall,
+    MalformedLoopFile,
     NonFiniteSample,
     NotClosed,
     NotGeneralPosition,
@@ -668,6 +669,18 @@ def test_classify_rejection_index(name):
         loops.classify(make())
     assert info.value.index == index
     assert f"{index}" in str(info.value)
+
+
+@pytest.mark.parametrize("data, cause", [
+    ({"n": 3}, "KeyError"),
+    ([1, 2], "TypeError"),
+    ({"n": "three", "samples": []}, "ValueError"),
+    ({"n": 3, "samples": [], "closure_lambda": []}, "IndexError"),
+    ({"n": 1e400, "samples": []}, "OverflowError"),
+])
+def test_loop_from_dict_refuses_malformed_document(data, cause):
+    with pytest.raises(MalformedLoopFile, match=f"^{cause}: "):
+        loops.loop_from_dict(data)
 
 
 @pytest.mark.parametrize("lam", [[1e400, 0], [math.nan, 0], [0, -1e400]])

@@ -1,8 +1,10 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -178,7 +180,7 @@ def test_classify_bad_tolerance_refused(capsys, tmp_path, monkeypatch, value):
 
 
 @pytest.mark.parametrize("argv", [["--max-word-len", "-1"], ["--radius", "0"],
-                                  ["--radius", "x"]])
+                                  ["--radius", "x"], ["--start", "x"], ["--start", "1,0,3"]])
 def test_orbit_range_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(["orbit", "--n", "4", *argv])
@@ -186,18 +188,25 @@ def test_orbit_range_usage_errors(capsys, argv):
     assert "usage:" in capsys.readouterr().err
 
 
+GROUP_COMMANDS = [["normalize", "k a"], ["multiply", "a k", "a"], ["invert", "a k"],
+                  ["rep", "--n", "4", "a"], ["orbit", "--n", "4", "--radius", "2"],
+                  ["homology", "--n", "3"]]
+
+
 def test_group_commands_do_not_import_numpy():
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = ("import sys; from qmono.cli import main; main(['normalize', 'k a']); "
+    code = ("import sys; from qmono.cli import main; "
+            f"codes = [main(argv) for argv in {GROUP_COMMANDS!r}]; "
             "import qmono; qmono.multiply; "
+            "assert codes == [0] * len(codes), codes; "
             "assert 'numpy' not in sys.modules, 'numpy imported'; "
             "qmono.classify; assert 'numpy' in sys.modules")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "b k"
+    assert proc.stdout.splitlines()[:3] == ["b k", "a b k", "b^-1 k"]
 
 
 def alpha_document():
@@ -251,6 +260,128 @@ def test_classify_loop_file_refusal_classes(capsys, tmp_path, name):
     code, _, err = run(capsys, "classify", str(path))
     assert code == 1
     assert err.startswith(f"error: {error}: ")
+
+
+# --- golden output: exact bytes of every subcommand ----------------------
+
+# Each command line with its stdout in text mode and with --json; run in order in one
+# directory, so the make-loop lines write the files that the classify lines read.
+GOLDEN_OUTPUT = [
+    ("normalize 'k a'",
+     'b k\n',
+     '{"free_part": [["b", 1]], "kappa_bit": 1, "word": "b k"}\n'),
+    ("multiply 'a k' a",
+     'a b k\n',
+     '{"free_part": [["a", 1], ["b", 1]], "kappa_bit": 1, "word": "a b k"}\n'),
+    ("invert 'a k'",
+     'b^-1 k\n',
+     '{"free_part": [["b", -1]], "kappa_bit": 1, "word": "b^-1 k"}\n'),
+    ("rep --n 4 'a k b'",
+     'matrix [[0, 1], [1, 0]]  det -1  quotient_character -1\n',
+     '{"det": -1, "matrix": [[0, 1], [1, 0]], "n": 4, "parity": "even", '
+     '"quotient_character": -1, "word": "a a k"}\n'),
+    ('rep --n 5 a',
+     'matrix [[1, 0], [0, 1]]  det 1  quotient_character 1\n',
+     '{"det": 1, "matrix": [[1, 0], [0, 1]], "n": 5, "parity": "odd", '
+     '"quotient_character": 1, "word": "a"}\n'),
+    ('orbit --n 4 --start 2,1 --radius 2 --max-word-len 3',
+     'reached 12 points (word length <= 3)\n'
+     'claimed in box radius 2: 8\n'
+     'missing: [(-1, -2)]\n'
+     'extraneous: []\n'
+     'ok: False\n',
+     '{"box_radius": 2, "claimed": [[-2, -1], [-1, -2], [-1, 0], [0, -1], [0, 1], [1, '
+     '0], [1, 2], [2, 1]], "extraneous": [], "max_word_len": 3, "missing": [[-1, '
+     '-2]], "n": 4, "ok": false, "parity": "even", "reached": [[-2, -1], [-1, 0], [0, '
+     '-1], [0, 1], [1, 0], [1, 2], [2, 1], [2, 3], [3, 2], [3, 4], [4, 3], [4, 5]], '
+     '"start": [2, 1]}\n'),
+    ('homology --n 3',
+     'H_i(C^3, A u L) ranks:\n'
+     '  degree 0: 0\n'
+     '  degree 1: 0\n'
+     '  degree 2: 0\n'
+     '  degree 3: 2\n'
+     '  degree 4: 0\n',
+     '{"absolute_reduced": {"2": 2}, "n": 3, "pieces": {"A": {"0": 1, "2": 1}, '
+     '"A_int_L": {"0": 1, "1": 1}, "L": {"0": 1}}, "relative": {"3": 2}}\n'),
+    ('make-loop --kind alpha --n 4 --samples 64 -o alpha.json',
+     'wrote alpha loop (65 samples) to alpha.json\n',
+     '{"kind": "alpha", "samples": 65, "written": "alpha.json"}\n'),
+    ('make-loop --kind beta --n 3 --eps 0.3 --samples 64 -o beta.json',
+     'wrote beta loop (65 samples) to beta.json\n',
+     '{"kind": "beta", "samples": 65, "written": "beta.json"}\n'),
+    ('make-loop --kind kappa --n 4 --samples 64 -o kappa.json',
+     'wrote kappa loop (65 samples) to kappa.json\n',
+     '{"kind": "kappa", "samples": 65, "written": "kappa.json"}\n'),
+    ('classify alpha.json',
+     'word: a\n'
+     'matrix (even n): [[-1, 2], [0, 1]]\n'
+     'matrix (odd n):  [[1, 0], [0, 1]]\n'
+     'diagnostics: margin 0.438, max step 0, crossings 1, branch flip 0\n',
+     '{"diagnostics": {"branch_flip": 0, "crossing_count": 1, '
+     '"max_relative_step": 0.0, "min_discriminant_margin": 0.4375}, "kappa_bit": 0, '
+     '"matrix_even": [[-1, 2], [0, 1]], "matrix_odd": [[1, 0], [0, 1]], "word": "a"}\n'),
+    ('classify beta.json',
+     'word: b\n'
+     'matrix (even n): [[1, 0], [2, -1]]\n'
+     'matrix (odd n):  [[1, 0], [0, 1]]\n'
+     'diagnostics: margin 0.51, max step 0, crossings 1, branch flip 0\n',
+     '{"diagnostics": {"branch_flip": 0, "crossing_count": 1, '
+     '"max_relative_step": 0.0, "min_discriminant_margin": 0.51}, "kappa_bit": 0, '
+     '"matrix_even": [[1, 0], [2, -1]], "matrix_odd": [[1, 0], [0, 1]], "word": "b"}\n'),
+    ('classify --n 4 kappa.json',
+     'word: k\n'
+     'matrix (even n): [[0, 1], [1, 0]]\n'
+     'matrix (odd n):  [[0, 1], [1, 0]]\n'
+     'diagnostics: margin 1, max step 1.11e-16, crossings 0, branch flip 1\n',
+     '{"diagnostics": {"branch_flip": 1, "crossing_count": 0, '
+     '"max_relative_step": 1.1102230246251568e-16, '
+     '"min_discriminant_margin": 0.9999999999999999}, "kappa_bit": 1, '
+     '"matrix_even": [[0, 1], [1, 0]], "matrix_odd": [[0, 1], [1, 0]], "word": "k"}\n'),
+    ('selftest',
+     'PASS relations\n'
+     'PASS invariant-vector\n'
+     'PASS orbit-claim\n'
+     'PASS classifier-fixtures\n',
+     '{"checks": [{"detail": "", "name": "relations", "passed": true}, {"detail": "", '
+     '"name": "invariant-vector", "passed": true}, {"detail": "", '
+     '"name": "orbit-claim", "passed": true}, {"detail": "", '
+     '"name": "classifier-fixtures", "passed": true}], "ok": true}\n'),
+]
+# stderr of each domain error, the same with and without --json.
+GOLDEN_ERRORS = [
+    ('normalize z',
+     "error: MalformedWord: unknown token: 'z'\n"),
+    ('orbit --n 5',
+     'error: OddParityClaim: the lattice orbit claim concerns even dimension\n'),
+    ('homology --n 1',
+     'error: DimensionTooSmall: need n >= 2, got 1\n'),
+    ('make-loop --kind alpha --n 4 --samples 10 -o x.json',
+     'error: BadParameters: need at least 64 samples, got 10\n'),
+    ('classify --n 5 kappa.json',
+     'error: BadParameters: --n 5 does not match loop dimension 4\n'),
+    ('classify missing.json',
+     "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+]
+# sha256 of each file that make-loop wrote.
+GOLDEN_FILES = {
+    'alpha.json': '186d591e9e0a158bc04506991eaaefd43fafd097d2beef11088d05521db8f4c0',
+    'beta.json': '26d70c11b8dd094d508ce4aafcb23d0fa92cc4c272461d608fb957b09b0cc355',
+    'kappa.json': 'c0f4512eacd80f82ff8941675fa718ad884e5b0cd2bf5e573ded771d56bd90e5',
+}
+
+
+def test_golden_output(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for cmdline, text, document in GOLDEN_OUTPUT:
+        argv = shlex.split(cmdline)
+        assert run(capsys, *argv) == (0, text, ""), cmdline
+        assert run(capsys, *argv, "--json") == (0, document, ""), cmdline
+    for name, digest in GOLDEN_FILES.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    for cmdline, err in GOLDEN_ERRORS:
+        for mode in ((), ("--json",)):
+            assert run(capsys, *shlex.split(cmdline), *mode) == (1, "", err), cmdline
 
 
 # --- fuzz: every loop file gives a word or a named error ----------------

@@ -1,5 +1,6 @@
 import cmath
 import decimal
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from scipy.linalg import null_space
 
 from qmono import geometry
-from qmono.errors import ZeroCoefficientVector
+from qmono.errors import NonFiniteSample, ZeroCoefficientVector
 from qmono.geometry import Hyperplane
 
 
@@ -86,6 +87,28 @@ def test_far_offset_in_general_position(d):
         assert geometry.discriminant_margin(h) == pytest.approx(q, rel=1e-15)
     # a near offset can still be tangent at a tolerance near 1: |25 - 1| <= 0.99 * 25
     assert geometry.is_tangent(Hyperplane([1, 0], 5.0), tol=0.99)
+
+
+# scaling the subnormal c, or the offset 1e300 by 1 / |c| = 1e10, overflows on the way to
+# |c| = 1, as in classify's subnormal-c refusal
+AT_UNIT_C = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@pytest.mark.parametrize("c, d", [
+    ([1, 0, 0], math.nan), ([1, 0, 0], math.inf), ([1, 0, 0], complex(0, -math.inf)),
+    ([math.nan, 0, 0], 0.0), ([1, math.inf, 0], 0.0),
+    pytest.param([1e-320, 0, 0], 1e-320, marks=AT_UNIT_C, id="subnormal-c"),
+    pytest.param([1e-10, 0, 0], 1e300, marks=AT_UNIT_C, id="offset-past-max-at-unit-c"),
+])
+def test_scalar_predicates_refuse_non_finite(c, d):
+    # they once answered True for in_general_position and NaN or 1.0 for the margin,
+    # and is_tangent answered False for the subnormal {z1 = 1}
+    h = Hyperplane(c, d)
+    for predicate in (geometry.is_tangent, geometry.is_asymptotic,
+                      geometry.in_general_position, geometry.discriminant_margin):
+        with pytest.raises(NonFiniteSample) as info:
+            predicate(h)
+        assert info.value.index == 0
 
 
 def test_discriminant_margin_examples():
