@@ -156,9 +156,10 @@ def _cmd_make_loop(args):
     makers = {"alpha": loops.make_alpha_loop, "beta": loops.make_beta_loop,
               "kappa": lambda n, _eps, m: loops.make_kappa_loop(n, m)}
     loop = makers[args.kind](args.n, args.eps, args.samples)
+    # json.dumps, not json.dump: only the one-shot call uses the C encoder.
+    text = json.dumps(loops.loop_to_dict(loop)) + "\n"
     with open(args.output, "w") as fh:
-        json.dump(loops.loop_to_dict(loop), fh)
-        fh.write("\n")
+        fh.write(text)
     samples = len(loop.samples)
     return ({"written": args.output, "kind": args.kind, "samples": samples},
             f"wrote {args.kind} loop ({samples} samples) to {args.output}")

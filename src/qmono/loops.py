@@ -121,7 +121,7 @@ class HyperplaneLoop:
             _check_shape(self.n, len(s), [h.n for h in s])
             object.__setattr__(self, "samples", LoopSamples([h.c for h in s], [h.d for h in s]))
         _check_shape(self.n, len(self.samples), self.samples.c.shape[1:])
-        zero = ~np.any(self.samples.c, axis=1)
+        zero = ~self.samples.c.any(axis=1)
         if zero.any():
             raise ZeroCoefficientVector(f"coefficient vector of sample {np.argmax(zero)} is zero")
 
@@ -181,7 +181,7 @@ def _scale_fit(u: np.ndarray, v: np.ndarray,
     unit = u / top
     size2 = float(np.vdot(unit, unit).real)
     mu = complex(np.vdot(unit, v)) / size2 / top if mu is None else mu
-    return mu, float(np.max(np.abs(v - mu * u))), top * math.sqrt(size2)
+    return mu, float(np.abs(v - mu * u).max()), top * math.sqrt(size2)
 
 
 def closure_scale(loop: HyperplaneLoop, tol: float | None = None) -> complex:
@@ -304,9 +304,23 @@ def fiber_word(loop: HyperplaneLoop, tol: float | None = None) -> FreeWord:
 # ---------------------------------------------------------------------------
 # Fixture loops: the model generator representatives, sampled.
 
+# The most complex entries, (m + 1) rows of n + 1, that a fixture maker allocates (64 MiB).
+MAX_FIXTURE_ENTRIES = 2 ** 22
+
+
+def _check_fixture(n: int, m: int, least: int = 64) -> None:
+    """Refuse, before anything is allocated, a fixture of m samples (m + 1 rows) in
+    dimension n with m < least, n < 3, or more than MAX_FIXTURE_ENTRIES entries."""
+    if m < least:
+        raise BadParameters(f"need at least {least} samples, got {m}")
+    _check_shape(n, m + 1, ())
+    if (m + 1) * (n + 1) > MAX_FIXTURE_ENTRIES:
+        raise BadParameters(f"{m} samples in dimension {n} need {(m + 1) * (n + 1)} entries, "
+                            f"above MAX_FIXTURE_ENTRIES = {MAX_FIXTURE_ENTRIES}")
+
+
 def _pencil_loop(n: int, c1, c2, d, closure_lambda: float) -> HyperplaneLoop:
     """The loop of hyperplanes c1_t z1 + c2_t z2 = d_t."""
-    _check_shape(n, len(d), ())  # before building rows of width n
     rows = np.zeros((len(d), n + 1), dtype=complex, order="F")
     rows[:, 0], rows[:, 1], rows[:, n] = c1, c2, d
     return HyperplaneLoop(n, LoopSamples._from_rows(rows), closure_lambda)
@@ -316,8 +330,7 @@ def _puncture_loop(n: int, center: float, eps: float, m: int) -> HyperplaneLoop:
     """{z1 = d} with d going 0 -> center -+ eps, once ccw around center = +-1, -> 0."""
     if not 0.0 < eps < 1.0:
         raise BadParameters(f"eps must be in (0, 1), got {eps}")
-    if m < 64:
-        raise BadParameters(f"need at least 64 samples, got {m}")
+    _check_fixture(n, m)
     approach = m // 4
     on_circle = m - 2 * approach
     ramp = center * (1.0 - eps) * np.arange(approach) / approach
@@ -338,14 +351,14 @@ def make_beta_loop(n: int, eps: float = 0.25, m: int = 256) -> HyperplaneLoop:
 
 def make_kappa_loop(n: int, m: int = 256) -> HyperplaneLoop:
     """Rotating pencil (cos t) z1 + (sin t) z2 = 0, t from 0 to pi."""
-    if m < 64:
-        raise BadParameters(f"need at least 64 samples, got {m}")
+    _check_fixture(n, m)
     t = math.pi * np.arange(m + 1) / m
     return _pencil_loop(n, np.cos(t), np.sin(t), np.zeros(m + 1), -1.0)
 
 
 def make_constant_loop(n: int, m: int = 64) -> HyperplaneLoop:
     """Constant loop at the base hyperplane {z1 = 0}."""
+    _check_fixture(n, m, least=0)
     return _pencil_loop(n, 1.0, 0.0, np.zeros(m + 1), 1.0)
 
 

@@ -605,6 +605,27 @@ def test_makers_refuse_small_dimension():
                 make(n)
 
 
+# Sizes above the cap, refused before anything is allocated; at n = 3, m = 2^20 is the
+# first one above it.  No size the cap admits near it is built here.
+@pytest.mark.parametrize("n, m", [(4, 10 ** 11), (10 ** 9, 256), (3, 2 ** 20)])
+def test_makers_refuse_oversized_fixtures(n, m):
+    assert (m + 1) * (n + 1) > loops.MAX_FIXTURE_ENTRIES
+    for make in (loops.make_alpha_loop, loops.make_beta_loop, loops.make_kappa_loop,
+                 loops.make_constant_loop):
+        with pytest.raises(BadParameters, match=f"above MAX_FIXTURE_ENTRIES = {2 ** 22}$"):
+            make(n, m=m)
+
+
+def test_makers_small_sample_counts():
+    for make in (loops.make_alpha_loop, loops.make_kappa_loop):
+        with pytest.raises(BadParameters, match="need at least 64 samples, got 63"):
+            make(4, m=63)
+    # The constant loop has no lower bound beyond two rows.
+    assert loops.classify(loops.make_constant_loop(4, m=1)).word == word("")
+    with pytest.raises(BadParameters, match="a loop needs at least two samples"):
+        loops.make_constant_loop(4, m=0)
+
+
 # --- every refusal names its first offending sample ---------------------
 
 def line_loop(ds, cs=None):

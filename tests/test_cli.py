@@ -94,6 +94,18 @@ def test_make_loop_then_classify(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [("--kind", "alpha", "--n", "4", "--samples", "100000000000"),
+                                  ("--kind", "kappa", "--n", "1000000000", "--samples", "64")])
+def test_make_loop_refuses_oversized_fixture(capsys, tmp_path, argv):
+    # Sizes the cap refuses before allocating; a run that got past it would need gigabytes.
+    path = tmp_path / "m.json"
+    code, out, err = run(capsys, "make-loop", *argv, "-o", str(path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: BadParameters: ") and err.endswith(
+        f"above MAX_FIXTURE_ENTRIES = {loops.MAX_FIXTURE_ENTRIES}\n")
+    assert not path.exists()
+
+
 def test_classify_missing_file(capsys):
     code, _, err = run(capsys, "classify", "/nonexistent/loop.json")
     assert code == 1

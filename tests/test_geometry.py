@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from qmono import geometry
@@ -53,6 +55,35 @@ def test_quad_form_rejects_zero():
         geometry.quad_form([0, 0])
     with pytest.raises(ZeroCoefficientVector):
         Hyperplane([0, 0, 0], 1.0)
+
+
+# Parts that sit on either side of the zero test: signed zeros, the smallest
+# subnormal, a tiny normal, NaN and the infinities.
+zero_test_parts = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0,
+                                   math.nan, math.inf, -math.inf])
+zero_test_vectors = st.lists(st.builds(complex, zero_test_parts, zero_test_parts),
+                             min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(zero_test_vectors)
+def test_zero_vector_rule(parts):
+    # The rule is np.any's: a part counts as nonzero iff it is not +-0.0, so a NaN
+    # or a subnormal is nonzero.
+    c = np.array(parts)
+    zero = not np.any(c)
+    for build in (lambda: Hyperplane(c, 0), lambda: geometry.quad_form(c)):
+        with np.errstate(invalid="ignore", over="ignore"):
+            if zero:
+                with pytest.raises(ZeroCoefficientVector):
+                    build()
+            else:
+                build()
+
+
+def test_scaled_underflow_to_zero_refused():
+    with pytest.raises(ZeroCoefficientVector, match="coefficient vector is zero"):
+        Hyperplane([1e-200, 0, 0], 0).scaled(1e-200)
 
 
 def test_tangency_examples():
