@@ -36,6 +36,14 @@ class SampleError(QmonoError):
         self.index = index
         super().__init__(message)
 
+    @classmethod
+    def refuse(cls, bad, message: str, values=None) -> None:
+        """Raise at the first i where the boolean array bad holds; message may use i and
+        v = values[i]."""
+        if bad.any():
+            i = int(bad.argmax())
+            raise cls(i, message.format(i=i, v=None if values is None else values[i]))
+
 
 class NonFiniteSample(SampleError):
     """A loop sample has a NaN or infinite coefficient or offset."""

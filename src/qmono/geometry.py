@@ -5,8 +5,10 @@ A hyperplane {<c, z> = d} (complex bilinear pairing, no conjugation) is
 tangent to it iff d^2 = q and asymptotic iff q = 0, where q = sum c_i^2.
 Both criteria are evaluated on the scale-normalized representative with
 |c| = 1, so all predicates are invariant under (c, d) -> (lambda c,
-lambda d).  The scalar predicates are the m = 1 case of `incidence`, and
-refuse as NonFiniteSample a hyperplane that classify refuses as one.
+lambda d).  `incidence` alone refuses, without a numpy warning, a row
+with a NaN or infinite part or one that is not finite once scaled to
+|c| = 1, as NonFiniteSample at the first such row; `classify`, and the
+scalar predicates and `Hyperplane.normalized` at index 0, go through it.
 
 A coefficient vector is zero, and refused as ZeroCoefficientVector, when
 every real and imaginary part is +0.0 or -0.0; a NaN or a subnormal part
@@ -19,7 +21,6 @@ building a Hyperplane costs about 1 us, a `scaled` copy 2-4 us and
 
 from __future__ import annotations
 
-import cmath
 import os
 from collections import namedtuple
 
@@ -85,8 +86,10 @@ class Hyperplane:
         return Hyperplane(self.c * factor, self.d * factor)
 
     def normalized(self) -> "Hyperplane":
-        """Representative with |c| = 1 (Hermitian norm; positive real scale)."""
-        return self.scaled(float(inverse_norm(self.c)))
+        """Representative with |c| = 1 (Hermitian norm; positive real scale), refused
+        as NonFiniteSample(0) by `incidence` when it is not finite."""
+        inc = _incidence_of(self, DEFAULT_TOL)
+        return Hyperplane(self.c * inc.inv[0], inc.d[0])
 
     def __repr__(self) -> str:
         return f"Hyperplane(c={self.c!r}, d={self.d!r})"
@@ -108,11 +111,18 @@ def incidence(c: np.ndarray, d: np.ndarray, tol: float | None = None) -> Inciden
     q = sum c_i^2, its size |q|, the offset d, the inverse norms inv = 1 / |c|,
     the masks tangent (d^2 = q) and asymptotic (q = 0) within tol, and the
     discriminant distance proxy margin = min(|d^2 - q|, |q|).  Each row is
-    scaled once, by the reciprocal of its largest real or imaginary part."""
+    scaled once, by the reciprocal of its largest real or imaginary part.  A row
+    that is not finite, before or after that scaling, raises NonFiniteSample."""
     tol = default_tol(tol)
-    u, size2, inv = _unit_scaled(c)
-    q = (u * u).sum(axis=1) / size2
-    dn = d * inv
+    NonFiniteSample.refuse(~(np.isfinite(c).all(axis=1) & np.isfinite(d)),
+                           "sample {i} has a non-finite coefficient or offset")
+    # Overflow here (a subnormal c, or a d too large for |c| = 1) is refused just below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, size2, inv = _unit_scaled(c)
+        q = (u * u).sum(axis=1) / size2
+        dn = d * inv
+    NonFiniteSample.refuse(~(np.isfinite(q) & np.isfinite(dn)),
+                           "sample {i} is not finite at |c| = 1")
     # Past |d| = 2^64, |d^2 - q| exceeds both tol |d|^2 and |q| for every tol < 1, as |q| <= 1,
     # so d enters both tests at modulus 2^64, where d^2 cannot overflow.
     clipped = np.where(np.abs(dn) > 2.0 ** 64, 2.0 ** 64, dn)
@@ -124,15 +134,8 @@ def incidence(c: np.ndarray, d: np.ndarray, tol: float | None = None) -> Inciden
 
 
 def _incidence_of(h: Hyperplane, tol: float | None) -> Incidence:
-    """`incidence` of the one hyperplane h.  As classify refuses such a sample, a NaN or
-    infinite coefficient or offset, or one that is not finite once scaled to |c| = 1,
-    raises NonFiniteSample(0, ...)."""
-    if not (np.isfinite(h.c).all() and cmath.isfinite(h.d)):
-        raise NonFiniteSample(0, "hyperplane has a non-finite coefficient or offset")
-    inc = incidence(h.c[None], np.array([h.d]), tol)
-    if not (cmath.isfinite(inc.q[0]) and cmath.isfinite(inc.d[0])):
-        raise NonFiniteSample(0, "hyperplane is not finite at |c| = 1")
-    return inc
+    """`incidence` of the one hyperplane h, refused as sample 0."""
+    return incidence(h.c[None], np.array([h.d]), tol)
 
 
 def is_tangent(h: Hyperplane, tol: float | None = None) -> bool:

@@ -19,6 +19,8 @@ sign(Re(r_{i+1} conj(r_i))); the q-step check |q_{i+1} - q_i| < |q_i| keeps
 r_{i+1} / r_i within pi/4 of +-1, so the sign never ties.  A refusal names
 the first offending sample; the checks run in the order non-finite, general
 position, closure, q-step, branch endpoint, puncture collision, fiber step.
+The non-finite check is `geometry.incidence`'s, the one the scalar predicates
+and `Hyperplane.normalized` make at index 0.
 `kappa_bit` and `fiber_word` are the two parts of `classify`'s word, not passes
 of their own, so they refuse what it refuses, with the same error.
 
@@ -47,8 +49,8 @@ import numpy as np
 
 from . import group, representation
 from .errors import (AsymptoticSample, BadParameters, BranchAmbiguity, DimensionTooSmall,
-                     MalformedLoopFile, NonFiniteSample, NotClosed, NotGeneralPosition,
-                     PunctureCollision, UndersampledLoop, ZeroCoefficientVector)
+                     MalformedLoopFile, NotClosed, NotGeneralPosition, PunctureCollision,
+                     UndersampledLoop, ZeroCoefficientVector)
 from .geometry import Hyperplane, default_tol, incidence
 from .group import FreeWord, GroupWord
 from .representation import MonodromyMatrix, Parity
@@ -59,6 +61,8 @@ _BRANCH_MATCH_RTOL = 1e-6
 
 # The punctures +1 and -1 of the model fiber, as a column to broadcast against a path.
 _PUNCTURES = np.array([[1.0], [-1.0]])
+
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 class LoopSamples(Sequence):
@@ -142,19 +146,12 @@ class ClassificationResult:
     diagnostics: LoopDiagnostics
 
 
-def _refuse(bad: np.ndarray, error: type, message: str, values=None) -> None:
-    """Raise error at the first i where bad holds; message may use i and v = values[i]."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise error(i, message.format(i=i, v=None if values is None else values[i]))
-
-
 def _sqrt_branch(q: np.ndarray, size: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
     """Continuous square-root branch of q, given size = |q|, and the relative steps |dq| / |q|."""
-    _refuse(size <= tol, AsymptoticSample, "|q| = {v:.3g} at sample {i}", size)
+    AsymptoticSample.refuse(size <= tol, "|q| = {v:.3g} at sample {i}", size)
     dq = np.abs(np.diff(q))
     step = dq / size[:-1]
-    _refuse(dq >= size[:-1], UndersampledLoop, "relative step {v:.3g} >= 1 at sample {i}", step)
+    UndersampledLoop.refuse(dq >= size[:-1], "relative step {v:.3g} >= 1 at sample {i}", step)
     r = np.sqrt(q)
     flips = np.where((r[1:] * r[:-1].conj()).real < 0.0, -1.0, 1.0)
     return r * np.concatenate(([1.0], np.cumprod(flips))), step
@@ -176,8 +173,11 @@ def _scale_fit(u: np.ndarray, v: np.ndarray,
                mu: complex | None = None) -> Tuple[complex, float, float]:
     """mu with v = mu u (least squares unless given), max |v - mu u| and |u|.  The inner
     products are taken with u / max |u_i|, whose squared norm lies in [1, len(u)], so rows at
-    1e200 or 1e-300 neither overflow nor underflow them."""
+    1e200 or 1e-300 neither overflow nor underflow them.  A u that is subnormal or not finite,
+    where that division overflows or is invalid, gets a NaN residual, which every caller refuses."""
     top = float(np.abs(u).max())
+    if not _SMALLEST_NORMAL <= top < math.inf:
+        return complex("nan"), math.nan, top
     unit = u / top
     size2 = float(np.vdot(unit, unit).real)
     mu = complex(np.vdot(unit, v)) / size2 / top if mu is None else mu
@@ -247,8 +247,8 @@ def _fiber_letters(w: np.ndarray, tol: float) -> List[group.Letter]:
                                     f"{1 if near[0, j] else -1:+d}")
     step = length[1:-1]
     nearest = np.minimum(reach[0, 1:-2], reach[1, 1:-2])
-    _refuse(step >= nearest, UndersampledLoop,
-            "fiber step {v:.3g} at sample {i} reaches the nearest puncture", step)
+    UndersampledLoop.refuse(step >= nearest,
+                            "fiber step {v:.3g} at sample {i} reaches the nearest puncture", step)
     # Points exactly on the real axis count as upper half-plane; the
     # paths we care about touch the axis only between the punctures.
     up = path.imag >= 0.0
@@ -265,14 +265,8 @@ def classify(loop: HyperplaneLoop, tol: float | None = None) -> ClassificationRe
     """Group element of a sampled loop, with matrices and diagnostics.  The checks run
     in the order of the module docstring; the first that fails refuses the loop."""
     tol = default_tol(tol)
-    s = loop.samples
-    _refuse(~np.isfinite(s.rows).all(axis=1), NonFiniteSample,
-            "sample {i} has a non-finite coefficient or offset")
-    inc = incidence(s.c, s.d, tol)
-    # Subnormal coefficients, or an offset too large for |c| = 1.
-    _refuse(~(np.isfinite(inc.q) & np.isfinite(inc.d)), NonFiniteSample,
-            "sample {i} is not finite at |c| = 1")
-    _refuse(inc.tangent | inc.asymptotic, NotGeneralPosition, "sample {i} is not in general position")
+    inc = incidence(loop.samples.c, loop.samples.d, tol)
+    NotGeneralPosition.refuse(inc.tangent | inc.asymptotic, "sample {i} is not in general position")
     # Per-sample normalization rescales the endpoints by positive reals,
     # so the closure factor picks up the ratio of coefficient norms.
     lam = closure_scale(loop, tol) * float(inc.inv[-1] / inc.inv[0])

@@ -12,6 +12,10 @@ act trivially and k swaps, so the ball is {(u0, v0), (v0, u0)}, or
 
 `verify_orbit_claim` checks the claim that the even orbit of (1, 0) is
 {(u, v) : u - v = +-1} inside a finite box.
+
+Both refuse, before building it, a ball or a box of more than
+MAX_ORBIT_POINTS points.  The ball holds 4L points for L >= 1 when the
+parity is even and u0 != v0, and at most 2 otherwise, which stay unbounded.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ from typing import FrozenSet, Iterable
 
 from .errors import BadParameters, OddParityClaim
 from .representation import LatticePoint, Parity
+
+# The most points a ball or a box may hold; as a set of tuples each takes about 200 bytes,
+# and the CLI lists and prints them all.
+MAX_ORBIT_POINTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -53,6 +61,9 @@ def orbit_bfs(start: LatticePoint, parity: Parity,
         raise BadParameters(f"max_word_len must be >= 0, got {max_word_len}")
     u0, v0 = start
     step = abs(u0 - v0) if parity is Parity.EVEN else 0
+    if step and 4 * max_word_len > MAX_ORBIT_POINTS:
+        raise BadParameters(f"max_word_len {max_word_len} gives a ball of {4 * max_word_len} "
+                            f"points, above MAX_ORBIT_POINTS = {MAX_ORBIT_POINTS}")
     parity_bit = max_word_len % 2
     return frozenset((*_diagonal(u0, v0, step, max_word_len - parity_bit),
                       *_diagonal(v0, u0, step, max_word_len - 1 + parity_bit)))
@@ -67,8 +78,13 @@ def verify_orbit_claim(box_radius: int, max_word_len: int, parity: Parity,
         raise OddParityClaim("the lattice orbit claim concerns even dimension")
     if box_radius < 1:
         raise BadParameters(f"box_radius must be >= 1, got {box_radius}")
-    reached = orbit_bfs(start, parity, max_word_len)
     level = abs(start[0] - start[1])
+    # Each line v = u - s of the box holds 2R + 1 - |s| points.
+    box = len({level, -level}) * max(0, 2 * box_radius + 1 - level)
+    if box > MAX_ORBIT_POINTS:
+        raise BadParameters(f"box_radius {box_radius} holds {box} claimed points, "
+                            f"above MAX_ORBIT_POINTS = {MAX_ORBIT_POINTS}")
+    reached = orbit_bfs(start, parity, max_word_len)
     # The lines v = u - s for s = +-level, with u clipped so v stays in the box.
     claimed = frozenset(
         (u, u - s)

@@ -677,13 +677,7 @@ REJECTIONS = {
 }
 
 
-def refusal_names(table):
-    # the subnormal coefficients overflow on the way to |c| = 1, as the test expects
-    return [pytest.param(name, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
-            if name == "subnormal-c" else name for name in sorted(table)]
-
-
-@pytest.mark.parametrize("name", refusal_names(REJECTIONS))
+@pytest.mark.parametrize("name", sorted(REJECTIONS))
 def test_classify_rejection_index(name):
     make, error, index = REJECTIONS[name]
     with pytest.raises(error) as info:
@@ -718,15 +712,16 @@ def test_non_finite_closure_factor_refused(lam):
         assert info.value.index == 64
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_concat_refuses_non_finite_junction_factor():
     a = loops.make_alpha_loop(4)
     # a NaN last sample makes the fitted junction factor NaN; a second
-    # loop scaled into the subnormal range makes it infinite
+    # loop scaled into the subnormal range, or starting at an infinite
+    # sample, makes it infinite or NaN
     nan_end = with_sample(a, len(a.samples) - 1, Hyperplane([math.nan, 0, 0, 0], 0))
     tiny = HyperplaneLoop(4, loops.LoopSamples(a.samples.c * 1e-320, a.samples.d * 1e-320),
                           a.closure_lambda)
-    for l1, l2 in ((nan_end, a), (a, tiny)):
+    inf_start = with_sample(a, 0, Hyperplane([math.inf, 0, 0, 0], 0))
+    for l1, l2 in ((nan_end, a), (a, tiny), (a, inf_start)):
         with pytest.raises(BadParameters, match="junction"):
             loops.concat(l1, l2)
 
@@ -762,7 +757,7 @@ VIEW_PROBES = {
 REFUSALS = {**REJECTIONS, **VIEW_PROBES}
 
 
-@pytest.mark.parametrize("name", refusal_names(REFUSALS))
+@pytest.mark.parametrize("name", sorted(REFUSALS))
 def test_views_refuse_what_classify_refuses(name):
     make, error, index = REFUSALS[name]
     assert assert_views_of_classify(make())[:2] == (error, index)

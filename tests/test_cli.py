@@ -374,7 +374,21 @@ GOLDEN_ERRORS = [
      'error: BadParameters: --n 5 does not match loop dimension 4\n'),
     ('classify missing.json',
      "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+    ('classify subnormal-c.json',
+     'error: NonFiniteSample: sample 40 is not finite at |c| = 1\n'),
+    ('classify far-d.json',
+     'error: NonFiniteSample: sample 40 is not finite at |c| = 1\n'),
+    ('orbit --n 4 --max-word-len 100000000',
+     'error: BadParameters: max_word_len 100000000 gives a ball of 400000000 points, '
+     'above MAX_ORBIT_POINTS = 1048576\n'),
 ]
+# Sample 40 of alpha.json as set in each file that the classify lines above refuse: a
+# subnormal coefficient, and an offset that overflows once scaled to |c| = 1.  Scaling
+# either once printed numpy RuntimeWarnings before the error line.
+GOLDEN_NOT_FINITE = {
+    'subnormal-c.json': {'c': [[1e-320, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+    'far-d.json': {'c': [[1e-10, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], 'd': [1e308, 0.0]},
+}
 # sha256 of each file that make-loop wrote.
 GOLDEN_FILES = {
     'alpha.json': '186d591e9e0a158bc04506991eaaefd43fafd097d2beef11088d05521db8f4c0',
@@ -391,6 +405,10 @@ def test_golden_output(capsys, tmp_path, monkeypatch):
         assert run(capsys, *argv, "--json") == (0, document, ""), cmdline
     for name, digest in GOLDEN_FILES.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    for name, sample in GOLDEN_NOT_FINITE.items():
+        data = json.loads((tmp_path / 'alpha.json').read_text())
+        data['samples'][40].update(sample)
+        (tmp_path / name).write_text(json.dumps(data))
     for cmdline, err in GOLDEN_ERRORS:
         for mode in ((), ("--json",)):
             assert run(capsys, *shlex.split(cmdline), *mode) == (1, "", err), cmdline

@@ -120,23 +120,20 @@ def test_far_offset_in_general_position(d):
     assert geometry.is_tangent(Hyperplane([1, 0], 5.0), tol=0.99)
 
 
-# scaling the subnormal c, or the offset 1e300 by 1 / |c| = 1e10, overflows on the way to
-# |c| = 1, as in classify's subnormal-c refusal
-AT_UNIT_C = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
-
 @pytest.mark.parametrize("c, d", [
     ([1, 0, 0], math.nan), ([1, 0, 0], math.inf), ([1, 0, 0], complex(0, -math.inf)),
     ([math.nan, 0, 0], 0.0), ([1, math.inf, 0], 0.0),
-    pytest.param([1e-320, 0, 0], 1e-320, marks=AT_UNIT_C, id="subnormal-c"),
-    pytest.param([1e-10, 0, 0], 1e300, marks=AT_UNIT_C, id="offset-past-max-at-unit-c"),
+    pytest.param([1e-320, 0, 0], 1e-320, id="subnormal-c"),
+    pytest.param([1e-10, 0, 0], 1e300, id="offset-past-max-at-unit-c"),
 ])
 def test_scalar_predicates_refuse_non_finite(c, d):
     # they once answered True for in_general_position and NaN or 1.0 for the margin,
-    # and is_tangent answered False for the subnormal {z1 = 1}
+    # is_tangent answered False for the subnormal {z1 = 1}, and normalized returned an
+    # all-NaN hyperplane for it and d = inf for the far offset
     h = Hyperplane(c, d)
     for predicate in (geometry.is_tangent, geometry.is_asymptotic,
-                      geometry.in_general_position, geometry.discriminant_margin):
+                      geometry.in_general_position, geometry.discriminant_margin,
+                      Hyperplane.normalized):
         with pytest.raises(NonFiniteSample) as info:
             predicate(h)
         assert info.value.index == 0

@@ -1,9 +1,11 @@
 """Source checks that need no import of the program."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qmono"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "qmono"
 
 # numpy's module-level reductions dispatch in Python before reaching C, which costs
 # several microseconds per call on a short vector; the ndarray methods and
@@ -21,3 +23,18 @@ def test_no_module_level_reductions():
                     and node.func.attr in WRAPPED_REDUCTIONS):
                 found.append(f"{path.name}:{node.lineno}: np.{node.func.attr}")
     assert SRC.is_dir() and not found, found
+
+
+# A warning filter that ignores every RuntimeWarning, whatever its message, would hide a
+# new overflow in the code under test; a filter on one message stays allowed.
+BLANKET_FILTER = re.compile(r"\s*ignore\s*:\s*:\s*(\w+\.)*RuntimeWarning\b")
+
+
+def test_no_blanket_runtime_warning_filters():
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and BLANKET_FILTER.match(node.value)):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not found, found

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmono.errors import BadParameters, OddParityClaim
-from qmono.orbits import OrbitReport, orbit_bfs, verify_orbit_claim
+from qmono.orbits import MAX_ORBIT_POINTS, OrbitReport, orbit_bfs, verify_orbit_claim
 from qmono.group import ALPHA, BETA, KAPPA
 from qmono.representation import IDENTITY_MATRIX, Parity, generator_matrix
 
@@ -75,6 +75,30 @@ def test_claim_validates_parameters():
         orbit_bfs((1, 0), EVEN, -1)
     with pytest.raises(BadParameters):
         orbit_bfs((1, 0), ODD, -1)
+
+
+# Sizes just above the cap, counted exactly and refused before anything is built: a
+# run that got past it at max_word_len or box radius 10^8 would need about 4e8 tuples.
+@pytest.mark.parametrize("call, points", [
+    (lambda: orbit_bfs((1, 0), EVEN, 2 ** 18 + 1), 2 ** 20 + 4),
+    (lambda: orbit_bfs((5, -2), EVEN, 10 ** 8), 4 * 10 ** 8),
+    (lambda: verify_orbit_claim(12, 10 ** 8, EVEN), 4 * 10 ** 8),
+    (lambda: verify_orbit_claim(2 ** 18 + 1, 12, EVEN), 2 ** 20 + 4),
+    (lambda: verify_orbit_claim(2 ** 19, 12, EVEN, start=(3, 3)), 2 ** 20 + 1),
+    (lambda: verify_orbit_claim(10 ** 8, 12, EVEN, start=(0, 7)), 4 * 10 ** 8 - 12),
+])
+def test_oversized_ball_or_box_refused(call, points):
+    assert points > MAX_ORBIT_POINTS == 2 ** 20
+    with pytest.raises(BadParameters, match=f" {points} .*, above MAX_ORBIT_POINTS = {2 ** 20}$"):
+        call()
+
+
+def test_small_balls_and_empty_boxes_are_unbounded():
+    # at odd parity or on the diagonal the ball holds at most 2 points, and a box of
+    # radius R misses the lines |u - v| = level > 2R
+    assert orbit_bfs((1, 0), ODD, 10 ** 12) == {(1, 0), (0, 1)}
+    assert orbit_bfs((3, 3), EVEN, 10 ** 12) == {(3, 3)}
+    assert verify_orbit_claim(10 ** 8, 2, EVEN, start=(0, 3 * 10 ** 8)).claimed == frozenset()
 
 
 def test_claimed_set_is_the_line_pair_in_the_box():
