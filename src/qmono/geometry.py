@@ -56,12 +56,6 @@ def _unit_scaled(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, size2, inv_top[..., 0] / np.sqrt(size2)
 
 
-def inverse_norm(c: np.ndarray) -> np.ndarray:
-    """1 / |c| along the last axis, computed at the scale of c's largest real or imaginary part
-    so that the sum of squares cannot over- or underflow."""
-    return _unit_scaled(c)[2]
-
-
 class Hyperplane:
     """Affine complex hyperplane {z : sum c_i z_i = d}, up to scale."""
 

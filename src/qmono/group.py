@@ -7,14 +7,15 @@ in a, b followed by k^0 or k^1.  Elements are represented by
 :class:`GroupWord` and all operations below are pure functions on
 immutable values.
 
-Per-letter work is a lookup in tables of the canonical letters, built
-once at import.  A letter the tables miss (a list, a bad generator or
-exponent) goes through the full checks, so a malformed letter is refused
-with the same `MalformedWord` message as by a letter-by-letter check.
+Per-letter work is one lookup per letter or token, in tables built once
+at import, giving the pushed letter and its inverse.  A letter or token
+the tables miss (a list, a bad generator or exponent, a spelling like
+`a^+1`) goes through the full checks, so a malformed one is refused with
+the same `MalformedWord` message as by a letter-by-letter check.
 
-`normalize`, `multiply` and `invert` build their results with
-`GroupWord._from_reduced`, which skips the reduction check of the public
-constructor.  That is sound because each result is reduced by
+`normalize`, `parse_word`, `multiply` and `invert` build their results
+with `GroupWord._from_reduced`, which skips the reduction check of the
+public constructor.  That is sound because each result is reduced by
 construction: the reduction stack never holds a letter next to its
 inverse; two reduced words can cancel only at their junction, so
 stripping the junction leaves a reduced word; and the inverse of a
@@ -24,7 +25,8 @@ reduced word, with or without sigma applied, is reduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from functools import partial
+from typing import Callable, Iterable, Sequence, Tuple
 
 from .errors import MalformedWord
 
@@ -43,13 +45,17 @@ _INVERSE = {letter: _FREE[gen, -exp] for letter, (gen, exp) in _FREE.items()}
 _SIGMA = {letter: _FREE[_SWAP[gen], exp] for letter, (gen, exp) in _FREE.items()}
 # The inverse of each letter, followed by sigma at odd k-parity.
 _INVERT = (_INVERSE, {letter: _SIGMA[inv] for letter, inv in _INVERSE.items()})
-# The letter a reduction pushes for each letter read, by the parity of the
-# k's read before it (k g = sigma(g) k); None marks a k letter.
+# What a reduction pushes for each letter read, by the parity of the k's
+# read before it (k g = sigma(g) k): the pushed letter and its inverse;
+# None marks a k letter.
+_PAIRS = tuple({letter: (out, _INVERSE[out]) for letter, out in table.items()}
+               for table in (_FREE, _SIGMA))
 _KAPPAS = {(KAPPA, 1): None, (KAPPA, -1): None}
-_PUSH = ({**_FREE, **_KAPPAS}, {**_SIGMA, **_KAPPAS})
+_PUSH = tuple({**pairs, **_KAPPAS} for pairs in _PAIRS)
 _TEXT = {(gen, exp): gen if exp == 1 else f"{gen}^-1"
          for gen in (ALPHA, BETA, KAPPA) for exp in (1, -1)}
-_TOKENS = {token: letter for letter, token in _TEXT.items()}
+# The same tables keyed by the six plain spellings.
+_TEXT_PUSH = tuple({_TEXT[letter]: entry for letter, entry in push.items()} for push in _PUSH)
 
 
 def _checked(letter: Letter, kappa_ok: bool) -> Letter:
@@ -68,30 +74,32 @@ def _checked(letter: Letter, kappa_ok: bool) -> Letter:
     return gen, 1 if exp == 1 else -1
 
 
-def _reduce(letters: Iterable[Letter], tables, kappa_ok: bool) -> Tuple[FreeWord, int]:
-    """One pass: each letter read through tables[k-parity] onto a stack
-    that cancels inverse pairs.  Returns the reduced word and the parity."""
-    # The stack holds only table values, so `is` tests equality; its None
-    # floor matches no letter and spares an emptiness test.
+def _reduce(items: Iterable, tables, canonical: Callable) -> Tuple[FreeWord, int]:
+    """One pass: each item read through tables[k-parity] onto a stack that
+    cancels inverse pairs; an item the tables miss is read as
+    canonical(item).  Returns the reduced word and the parity."""
+    # The stack holds only canonical letters, so `is` tests equality; its
+    # None floor matches no letter and spares an emptiness test.
     bit, table, stack = 0, tables[0], [None]
-    for letter in letters:
+    push, pop = stack.append, stack.pop
+    for item in items:
         try:
-            out = table[letter]
+            entry = table[item]
         except (KeyError, TypeError):
-            out = table[_checked(letter, kappa_ok)]
-        if out is None:
+            entry = table[canonical(item)]
+        if entry is None:
             bit ^= 1
             table = tables[bit]
-        elif stack[-1] is _INVERSE[out]:
-            stack.pop()
+        elif stack[-1] is entry[1]:
+            pop()
         else:
-            stack.append(out)
+            push(entry[0])
     return tuple(stack[1:]), bit
 
 
 def free_reduce(letters: Iterable[Letter]) -> FreeWord:
     """Freely reduce a word over a, b (cancel adjacent inverse pairs)."""
-    return _reduce(letters, (_FREE,), kappa_ok=False)[0]
+    return _reduce(letters, _PAIRS[:1], partial(_checked, kappa_ok=False))[0]
 
 
 def sigma(word: Iterable[Letter]) -> FreeWord:
@@ -109,8 +117,14 @@ class GroupWord:
     def __post_init__(self) -> None:
         if self.kappa_bit not in (0, 1):
             raise MalformedWord(f"kappa_bit must be 0 or 1, got {self.kappa_bit!r}")
-        if free_reduce(self.free_part) != tuple(self.free_part):
+        given = tuple(self.free_part)
+        reduced = free_reduce(given)
+        if len(reduced) != len(given):
             raise MalformedWord("free_part is not freely reduced")
+        # The canonical values checked, so that equal words compare and
+        # hash alike whatever sequence or letter objects were passed.
+        object.__setattr__(self, "free_part", reduced)
+        object.__setattr__(self, "kappa_bit", int(self.kappa_bit))
 
     @classmethod
     def _from_reduced(cls, free_part: FreeWord, kappa_bit: int) -> "GroupWord":
@@ -143,7 +157,7 @@ def normalize(raw: Sequence[Letter]) -> GroupWord:
     read after an odd number of k's is pushed swapped; pairs of k cancel;
     the free part is reduced in the same pass.
     """
-    return GroupWord._from_reduced(*_reduce(raw, _PUSH, kappa_ok=True))
+    return GroupWord._from_reduced(*_reduce(raw, _PUSH, partial(_checked, kappa_ok=True)))
 
 
 def multiply(g: GroupWord, h: GroupWord) -> GroupWord:
@@ -171,28 +185,29 @@ def invert(g: GroupWord) -> GroupWord:
                                    g.kappa_bit)
 
 
-def _parse_token(token: str) -> Letter:
-    """A token outside the six plain spellings (`a^+1`, `a^01`, ...), or
-    MalformedWord."""
+def _plain_spelling(token: str) -> str:
+    """The plain spelling of a token outside the six (`a^+1`, `a^01`, ...),
+    or MalformedWord."""
     base, caret, exp_text = token.partition("^")
     if base not in (ALPHA, BETA, KAPPA):
         raise MalformedWord(f"unknown token: {token!r}")
     if caret and not exp_text:
         raise MalformedWord(f"missing exponent in token: {token!r}")
     if not exp_text:
-        return base, 1
+        return base
     try:
         exp = int(exp_text)
     except ValueError:
         raise MalformedWord(f"bad exponent in token: {token!r}") from None
     if exp not in (1, -1):
         raise MalformedWord(f"exponent must be +1 or -1 in {token!r}")
-    return base, exp
+    return _TEXT[base, exp]
 
 
 def parse_word(text: str) -> GroupWord:
-    """Parse whitespace-separated tokens `a`, `b`, `k`, optionally `^-1`."""
-    return normalize([_TOKENS.get(token) or _parse_token(token) for token in text.split()])
+    """Parse whitespace-separated tokens `a`, `b`, `k`, optionally `^-1`,
+    reducing them as they are read."""
+    return GroupWord._from_reduced(*_reduce(text.split(), _TEXT_PUSH, _plain_spelling))
 
 
 def format_word(g: GroupWord) -> str:

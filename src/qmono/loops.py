@@ -367,8 +367,11 @@ def concat(l1: HyperplaneLoop, l2: HyperplaneLoop,
     # |r1[-1]| = |mu| |r2[0]| up to the residual.
     if mu == 0 or not residual <= tol * abs(mu) * size:
         raise BadParameters("loops do not share their junction hyperplane")
+    # Before the rows are scaled, so that a loop with a non-finite last row
+    # is refused as not closed rather than multiplied through.
+    lam = closure_scale(l1, tol) * closure_scale(l2, tol)
     samples = LoopSamples._from_rows(np.concatenate((r1, mu * r2[1:])))
-    return HyperplaneLoop(l1.n, samples, closure_scale(l1, tol) * closure_scale(l2, tol))
+    return HyperplaneLoop(l1.n, samples, lam)
 
 
 def reverse(loop: HyperplaneLoop, tol: float | None = None) -> HyperplaneLoop:

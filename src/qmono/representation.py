@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Tuple
 
 from .errors import BadParameters, DimensionTooSmall
@@ -106,7 +107,7 @@ def matrix_of(g: GroupWord, parity: Parity) -> MonodromyMatrix:
     """
     p, q, r, s = 1, 0, 0, 1
     if parity is Parity.EVEN and g.free_part:
-        generators = next(zip(*g.free_part))  # the first entry of each letter
+        generators = list(map(itemgetter(0), g.free_part))  # the generator of each letter
         j = generators[1::2].count(BETA) - generators[::2].count(BETA)
         p, q, r, s = 1 + 2 * j, -2 * j, 2 * j, 1 - 2 * j
         if len(generators) % 2:  # times M_a = [[-1, 2], [0, 1]]

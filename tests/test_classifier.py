@@ -444,8 +444,7 @@ def test_classify_builds_no_per_sample_objects(monkeypatch):
 
     monkeypatch.setattr(Hyperplane, "normalized", refuse)
     monkeypatch.setattr(Hyperplane, "__init__", refuse)
-    # Count the passes that scale samples to |c| = 1, including an
-    # inverse_norm imported into loops by name.
+    # Count the passes that scale samples to |c| = 1.
     calls = collections.Counter()
 
     def counted(module, name):
@@ -457,9 +456,7 @@ def test_classify_builds_no_per_sample_objects(monkeypatch):
         monkeypatch.setattr(module, name, call)
 
     counted(loops, "incidence")
-    for name in ("_unit_scaled", "inverse_norm"):
-        counted(geometry, name)
-    monkeypatch.setattr(loops, "inverse_norm", geometry.inverse_norm, raising=False)
+    counted(geometry, "_unit_scaled")
     assert loops.classify(loops.make_kappa_loop(4)).word == word("k")
     assert loops.kappa_bit(loops.make_kappa_loop(4)) == 1
     assert loops.fiber_word(loops.make_alpha_loop(4)) == ((ALPHA, 1),)
@@ -724,6 +721,19 @@ def test_concat_refuses_non_finite_junction_factor():
     for l1, l2 in ((nan_end, a), (a, tiny), (a, inf_start)):
         with pytest.raises(BadParameters, match="junction"):
             loops.concat(l1, l2)
+
+
+def test_concat_refuses_infinite_last_row_as_not_closed():
+    # the closure factors are fitted before the rows of the second loop are
+    # scaled, so an infinite last row is refused, under the suite's
+    # RuntimeWarning-as-error filter, without "invalid value encountered"
+    a = loops.make_alpha_loop(4)
+    last = len(a.samples) - 1
+    c = a.samples.c[last].copy()
+    c[0] = math.inf
+    bad = with_sample(a, last, Hyperplane(c, a.samples.d[last]))
+    with pytest.raises(NotClosed, match=f"at sample {last} exceeds"):
+        loops.concat(a, bad)
 
 
 # --- kappa_bit and fiber_word are views of classify -----------------------

@@ -256,14 +256,14 @@ def test_inverse_norm_matches_exact_norm():
         ends = np.array([[1e-300] * n, [1e300] * n, [1e300] + [1e-300] * (n - 1)])
         for mags in (spread, bunched, ends):
             c = mags * np.exp(2j * np.pi * rng.random(mags.shape))
-            inv = geometry.inverse_norm(c)
+            inv = geometry.incidence(c, np.zeros(len(c))).inv
             assert inv.shape == (len(c),)
             for row, value in zip(c, inv):
-                assert float(geometry.inverse_norm(row)) == value  # 1-d input, same rounding
+                assert geometry.incidence(row[None], np.zeros(1)).inv[0] == value  # one row, same rounding
                 assert abs(decimal.Decimal(float(value)) * exact_norm(row) - 1) <= decimal.Decimal("1e-15")
             # incidence scales each row once: q and d at |c| = 1 within a few
             # ulps of the exact values (|q| <= 1 sets q's scale), its |q| and
-            # inverse norms within an ulp of abs(q) and inverse_norm(c)
+            # inverse norms within an ulp of abs(q) and of those at d = 0
             d = mags.max(axis=1) * (rng.normal(size=len(c)) + 1j * rng.normal(size=len(c)))
             inc = geometry.incidence(c, d)
             assert np.all(abs(inc.size - abs(inc.q)) <= np.spacing(inc.size))

@@ -198,6 +198,18 @@ def test_public_constructor_checks(free, bit, message):
     assert str(info.value) == message
 
 
+def test_public_constructor_stores_canonical_values():
+    # a list free part, list letters and a bool bit give the word that the
+    # canonical tuples give, equal and with the same hash
+    word = GroupWord((A, Bi), 1)
+    for free, bit in (([A, Bi], 1), ([["a", 1], ("b", -1)], True), ((A, ["b", -1.0]), 1)):
+        built = GroupWord(free, bit)
+        assert built == word and hash(built) == hash(word)
+        assert type(built.free_part) is tuple and type(built.kappa_bit) is int
+        assert all(letter is group._FREE[letter] for letter in built.free_part)
+    assert GroupWord([["a", 1]]) == group.normalize([["a", 1]])
+
+
 def test_results_equal_publicly_built_words():
     rng = random.Random(9)
     for _ in range(200):
@@ -217,9 +229,12 @@ def test_results_are_not_reduced_again(monkeypatch):
     def refuse(*args):
         raise AssertionError("reduced again")
 
+    expected = group.normalize(g.letters()).letters()
     monkeypatch.setattr(GroupWord, "__post_init__", refuse)
     monkeypatch.setattr(group, "free_reduce", refuse)
-    assert group.parse_word(text).letters() == group.normalize(g.letters()).letters()
+    # parse_word reads the tokens in one pass, not through normalize
+    monkeypatch.setattr(group, "normalize", refuse)
+    assert group.parse_word(text).letters() == expected
     monkeypatch.setattr(group, "_reduce", refuse)
     assert group.multiply(g, group.invert(g)).is_identity()
     assert group.multiply(group.invert(h), h).is_identity()
@@ -322,3 +337,40 @@ def test_format_parse_matches_oracle(raw):
     assert group.parse_word(text) == g
     raw_text = " ".join(gen if exp == 1 else f"{gen}^-1" for gen, exp in raw)
     assert as_pair(group.parse_word(raw_text)) == oracle_normalize(raw)
+
+
+# Every spelling of each letter; the plain ones are the table keys, the
+# others go through the full token checks.
+SPELLINGS = {
+    A: ("a", "a^1", "a^+1", "a^01"), Ai: ("a^-1", "a^-01"),
+    B: ("b", "b^1"), Bi: ("b^-1", "b^-01"),
+    K: ("k", "k^+1"), (KAPPA, -1): ("k^-1", "k^-01"),
+}
+# The refusals of test_parse_word_table.
+MALFORMED_TOKENS = {text: outcome for text, outcome in (
+    ("a^", "missing exponent in token: 'a^'"),
+    ("ab", "unknown token: 'ab'"),
+    ("a^2", "exponent must be +1 or -1 in 'a^2'"),
+    ("k^2", "exponent must be +1 or -1 in 'k^2'"),
+    ("x", "unknown token: 'x'"),
+    ("^1", "unknown token: '^1'"),
+    ("a^1.0", "bad exponent in token: 'a^1.0'"),
+    ("a^-1^1", "bad exponent in token: 'a^-1^1'"),
+)}
+
+
+@PROPERTY
+@given(raw=raw_words(), data=st.data())
+def test_parse_word_tokens_match_oracle(raw, data):
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    tokens = [rng.choice(SPELLINGS[letter]) for letter in raw]
+    gaps = [rng.choice((" ", "  ", "\t", "\n", " \r\n ", "\x0b", "\x0c"))
+            for _ in range(len(tokens) + 1)]
+    text = "".join(gap + token for gap, token in zip(gaps, tokens + [""]))
+    assert as_pair(group.parse_word(text)) == oracle_normalize(raw)
+    # one malformed token at a drawn position is refused with its message
+    bad = data.draw(st.sampled_from(sorted(MALFORMED_TOKENS)))
+    at = data.draw(st.integers(0, len(tokens)))
+    with pytest.raises(MalformedWord) as info:
+        group.parse_word(" ".join(tokens[:at] + [bad] + tokens[at:]))
+    assert str(info.value) == MALFORMED_TOKENS[bad]
