@@ -108,18 +108,27 @@ def incidence(c: np.ndarray, d: np.ndarray, tol: float | None = None) -> Inciden
     scaled once, by the reciprocal of its largest real or imaginary part.  A row
     that is not finite, before or after that scaling, raises NonFiniteSample."""
     tol = default_tol(tol)
-    NonFiniteSample.refuse(~(np.isfinite(c).all(axis=1) & np.isfinite(d)),
-                           "sample {i} has a non-finite coefficient or offset")
-    # Overflow here (a subnormal c, or a d too large for |c| = 1) is refused just below.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A NaN or infinite part, a zero or subnormal c, or a d too large for |c| = 1 makes q or
+    # dn non-finite here, and is refused just below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u, size2, inv = _unit_scaled(c)
         q = (u * u).sum(axis=1) / size2
         dn = d * inv
-    NonFiniteSample.refuse(~(np.isfinite(q) & np.isfinite(dn)),
-                           "sample {i} is not finite at |c| = 1")
+        # A sum with a non-finite term is not finite; one of finite terms may still overflow.
+        suspect = not np.isfinite(q.sum() + dn.sum())
+    if suspect:
+        bad = ~(np.isfinite(q) & np.isfinite(dn))
+        if bad.any():
+            # Every row with a non-finite part is among the bad rows, and is named first.
+            NonFiniteSample.refuse(~(np.isfinite(c).all(axis=1) & np.isfinite(d)),
+                                   "sample {i} has a non-finite coefficient or offset")
+            NonFiniteSample.refuse(bad, "sample {i} is not finite at |c| = 1")
     # Past |d| = 2^64, |d^2 - q| exceeds both tol |d|^2 and |q| for every tol < 1, as |q| <= 1,
-    # so d enters both tests at modulus 2^64, where d^2 cannot overflow.
-    clipped = np.where(np.abs(dn) > 2.0 ** 64, 2.0 ** 64, dn)
+    # so d enters both tests at modulus 2^64, where d^2 cannot overflow.  A d whose parts are
+    # below 2^64 is left as it is: it gives both tests, and the margin, as clipped.
+    clipped = dn
+    if abs(dn.view(float)).max() > 2.0 ** 64:
+        clipped = np.where(np.abs(dn) > 2.0 ** 64, 2.0 ** 64, dn)
     d2 = clipped * clipped
     gap = np.abs(d2 - q)
     size = np.abs(q)

@@ -26,11 +26,24 @@ of their own, so they refuse what it refuses, with the same error.
 
 Each sample is scaled to |c| = 1 once, by `geometry.incidence`; the closure
 factor, the branch and the fiber path reuse its q, |q| and inverse norms.  The
-puncture-collision test bounds the distance of p = +-1 to a fiber segment
-[a, b] from below by (|a - p| + |b - p| - |b - a|) / 2, from distances the
-fiber-step check needs anyway, and finds the exact distance only on the few
-segments where that bound, less a few ulps for rounding, does not clear tol,
-in units of a power of two above the segment's length so that no square overflows.
+puncture-collision test bounds the distance of both punctures to a fiber segment
+[a, b] from below by (n(a) + n(b) - |b - a|) / 2, where n is the distance to the
+nearer puncture that the fiber-step check reads anyway, and finds the exact
+distance only on the few segments where that bound, less a few ulps for
+rounding, does not clear tol, in units of a power of two above the segment's
+length so that no square overflows.  Both tests measure the path at an exact
+scale of 1/8, so that no length or sum of two distances overflows.
+
+A loop fits its closure factor once: `HyperplaneLoop._closure_fit`, the
+_scale_fit of its last sample on its first (with closure_lambda validated when
+given), is computed on first use and kept, as the samples are read-only;
+`closure_scale` compares its residual with tol.  `concat` and `reverse` build
+their result without the checks of the public constructor, whose shape and
+nonzero rows follow from the inputs: `concat` checks the junction and both
+closures, scales the second loop's rows quietly (a non-finite row is left for
+`classify` to refuse) and checks for zero only the rows it scaled, and only when
+the junction factor is below 1 in modulus, as only then can it underflow a row
+to zero; `reverse` checks the closure only.
 
 Crossing conventions are fixed so that the model generator loops
 (counterclockwise around +1, counterclockwise around -1, and the
@@ -43,6 +56,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,10 +73,15 @@ from .representation import MonodromyMatrix, Parity
 # closure candidates +-lambda s_0, which are 2|s_0| apart.
 _BRANCH_MATCH_RTOL = 1e-6
 
-# The punctures +1 and -1 of the model fiber, as a column to broadcast against a path.
-_PUNCTURES = np.array([[1.0], [-1.0]])
+# The collision and fiber-step tests measure the fiber path at this scale, which is exact: every
+# length, distance to a puncture and sum of two of them then stays below the largest float.
+_FIBER_SCALE = 0.125
+# The punctures +1 and -1 of the model fiber at that scale, as a column to broadcast against a path.
+_SCALED_PUNCTURES = np.array([[1.0], [-1.0]]) * _FIBER_SCALE
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
+# The rounding allowance of the collision bound: 16 ulps of its terms.
+_BOUND_ROUNDING = 16.0 * float(np.finfo(float).eps)
 
 
 class LoopSamples(Sequence):
@@ -125,9 +144,37 @@ class HyperplaneLoop:
             _check_shape(self.n, len(s), [h.n for h in s])
             object.__setattr__(self, "samples", LoopSamples([h.c for h in s], [h.d for h in s]))
         _check_shape(self.n, len(self.samples), self.samples.c.shape[1:])
-        zero = ~self.samples.c.any(axis=1)
-        if zero.any():
-            raise ZeroCoefficientVector(f"coefficient vector of sample {np.argmax(zero)} is zero")
+        _refuse_zero_rows(self.samples.c)
+
+    @classmethod
+    def _from_checked(cls, n: int, samples: "LoopSamples",
+                      closure_lambda: Optional[complex]) -> "HyperplaneLoop":
+        """A HyperplaneLoop without the checks of __post_init__, for samples whose
+        shape and nonzero rows the caller has already checked."""
+        loop = object.__new__(cls)
+        object.__setattr__(loop, "n", n)
+        object.__setattr__(loop, "samples", samples)
+        object.__setattr__(loop, "closure_lambda", closure_lambda)
+        return loop
+
+    @cached_property
+    def _closure_fit(self) -> Tuple[complex, float, float]:
+        """_scale_fit of the last sample on the first, with closure_lambda when given, which
+        is refused as NotClosed unless finite and nonzero.  Computed on first use and kept:
+        the samples are read-only."""
+        rows, lam, last = self.samples.rows, self.closure_lambda, len(self.samples) - 1
+        if lam is not None and not (cmath.isfinite(lam) and lam != 0):
+            raise NotClosed(last, f"closure_lambda must be finite and nonzero, got {lam} "
+                                  f"(sample {last})")
+        return _scale_fit(rows[0], rows[-1], None if lam is None else complex(lam))
+
+
+def _refuse_zero_rows(c: np.ndarray, first: int = 0) -> None:
+    """Refuse the first row of c that is zero, as sample first + its row index."""
+    nonzero = c.any(axis=1)
+    if not nonzero.all():
+        i = first + int(np.argmin(nonzero))
+        raise ZeroCoefficientVector(f"coefficient vector of sample {i} is zero")
 
 
 @dataclass(frozen=True)
@@ -146,15 +193,18 @@ class ClassificationResult:
     diagnostics: LoopDiagnostics
 
 
-def _sqrt_branch(q: np.ndarray, size: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Continuous square-root branch of q, given size = |q|, and the relative steps |dq| / |q|."""
-    AsymptoticSample.refuse(size <= tol, "|q| = {v:.3g} at sample {i}", size)
-    dq = np.abs(np.diff(q))
+def _sqrt_branch(q: np.ndarray, size: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Continuous square-root branch of q, given size = |q| > 0, and the relative steps
+    |dq| / |q|."""
+    dq = np.abs(q[1:] - q[:-1])
     step = dq / size[:-1]
     UndersampledLoop.refuse(dq >= size[:-1], "relative step {v:.3g} >= 1 at sample {i}", step)
     r = np.sqrt(q)
-    flips = np.where((r[1:] * r[:-1].conj()).real < 0.0, -1.0, 1.0)
-    return r * np.concatenate(([1.0], np.cumprod(flips))), step
+    # The branch is -r after an odd number of samples where Re(r_{i+1} conj(r_i)) < 0.
+    odd = np.zeros(len(q), dtype=bool)
+    np.less((r[1:] * r[:-1].conj()).real, 0.0, out=odd[1:])
+    np.logical_xor.accumulate(odd, out=odd)
+    return np.negative(r, out=r, where=odd), step
 
 
 def continue_sqrt_branch(q_samples: Sequence[complex],
@@ -166,7 +216,9 @@ def continue_sqrt_branch(q_samples: Sequence[complex],
     the nearer root is unambiguous.
     """
     q = np.asarray(q_samples, dtype=complex)
-    return _sqrt_branch(q, np.abs(q), default_tol(tol))[0].tolist()
+    size, tol = np.abs(q), default_tol(tol)
+    AsymptoticSample.refuse(size <= tol, "|q| = {v:.3g} at sample {i}", size)
+    return _sqrt_branch(q, size)[0].tolist()
 
 
 def _scale_fit(u: np.ndarray, v: np.ndarray,
@@ -191,13 +243,10 @@ def closure_scale(loop: HyperplaneLoop, tol: float | None = None) -> complex:
     least-squares fit; raises NotClosed when the residual exceeds tol.
     """
     tol = default_tol(tol)
-    v0, v1, last = loop.samples.rows[0], loop.samples.rows[-1], len(loop.samples) - 1
-    lam = loop.closure_lambda
-    if lam is not None and not (cmath.isfinite(lam) and lam != 0):
-        raise NotClosed(last, f"closure_lambda must be finite and nonzero, got {lam} (sample {last})")
-    lam, residual, size = _scale_fit(v0, v1, None if lam is None else complex(lam))
+    lam, residual, size = loop._closure_fit
     # Written so that a NaN residual fails the test.
     if not residual <= tol * size:
+        last = len(loop.samples) - 1
         raise NotClosed(last, f"closure residual {residual:.3g} at sample {last} exceeds tolerance")
     return lam
 
@@ -219,26 +268,33 @@ def _branch_bit(lam: complex, branch: np.ndarray) -> int:
 def _fiber_letters(w: np.ndarray, tol: float) -> List[group.Letter]:
     """Crossing letters of the fiber path w, closed through the origin."""
     # Basepoint transport: close up through the origin of the model fiber.
-    path = np.concatenate(([0j], w, [0j]))
-    seg = np.diff(path)
+    path = np.zeros(len(w) + 2, dtype=complex)
+    path[1:-1] = w
+    # Lengths and distances at _FIBER_SCALE; tol scales with them.
+    small = path * _FIBER_SCALE
+    seg = small[1:] - small[:-1]
     length = np.abs(seg)
-    # Distances of the path's points to +1 (row 0) and -1 (row 1).
-    reach = np.abs(path - _PUNCTURES)
-    # On a segment [a, b], |x - p| >= (|a - p| + |b - p| - |b - a|) / 2.  The exact distance
-    # is found only where that bound, less 16 ulps of its terms (the rounding of the bound and
-    # of the exact distance), does not clear tol; a NaN or inf bound does not clear it.
-    ends = reach[:, :-1] + reach[:, 1:]
-    cleared = ends - length > 2.0 * tol + 16.0 * np.finfo(float).eps * (ends + length)
-    unclear = np.flatnonzero(~cleared.all(axis=0))
+    # Distance of each point to the nearer puncture: folded onto Re >= 0, to +1.
+    fold = np.empty_like(small)
+    np.subtract(abs(small.real), _FIBER_SCALE, out=fold.real)
+    fold.imag = small.imag
+    nearest = np.abs(fold)
+    # On a segment [a, b], |x - p| >= (|a - p| + |b - p| - |b - a|) / 2, and so for both
+    # punctures p, |x - p| >= (n(a) + n(b) - |b - a|) / 2 with n the distance to the nearer one.
+    # The exact distance is found only where that bound, less 16 ulps of its terms (the rounding
+    # of the bound and of the exact distance), does not clear tol; a NaN or inf bound does not.
+    ends = nearest[:-1] + nearest[1:]
+    cleared = ends - length > 2.0 * _FIBER_SCALE * tol + _BOUND_ROUNDING * (ends + length)
+    unclear = np.flatnonzero(~cleared)
     if unclear.size:
-        # Measured in units of a power of two above max(|b - a|, 1/2), so that no square
-        # overflows; the scaling is exact, and is 1 on segments shorter than 1.
-        unit = np.ldexp(1.0, -np.frexp(np.maximum(length[unclear], 0.5))[1])
-        rel, span = (_PUNCTURES - path[unclear]) * unit, seg[unclear] * unit
+        # Measured in units of a power of two above max(|b - a|, 1/2) at full scale, so that no
+        # square overflows; the scaling is exact, and is 1 on segments shorter than 1.
+        unit = np.ldexp(1.0, -np.frexp(np.maximum(length[unclear], 0.5 * _FIBER_SCALE))[1])
+        rel, span = (_SCALED_PUNCTURES - small[unclear]) * unit, seg[unclear] * unit
         denom = (length[unclear] * unit) ** 2
         dot = rel.real * span.real + rel.imag * span.imag
         t = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0.0)
-        near = np.abs(rel - np.clip(t, 0.0, 1.0) * span) <= tol * unit
+        near = np.abs(rel - np.clip(t, 0.0, 1.0) * span) <= _FIBER_SCALE * tol * unit
         hit = near.any(axis=0)
         if hit.any():
             j = int(np.argmax(hit))
@@ -246,9 +302,12 @@ def _fiber_letters(w: np.ndarray, tol: float) -> List[group.Letter]:
             raise PunctureCollision(i, f"fiber path segment {i} passes through "
                                     f"{1 if near[0, j] else -1:+d}")
     step = length[1:-1]
-    nearest = np.minimum(reach[0, 1:-2], reach[1, 1:-2])
-    UndersampledLoop.refuse(step >= nearest,
-                            "fiber step {v:.3g} at sample {i} reaches the nearest puncture", step)
+    far = step >= nearest[1:-2]
+    if far.any():
+        # The message gives the step at full scale, where one past the largest float reads inf.
+        with np.errstate(over="ignore"):
+            UndersampledLoop.refuse(far, "fiber step {v:.3g} at sample {i} reaches the nearest "
+                                    "puncture", step / _FIBER_SCALE)
     # Points exactly on the real axis count as upper half-plane; the
     # paths we care about touch the axis only between the punctures.
     up = path.imag >= 0.0
@@ -270,7 +329,7 @@ def classify(loop: HyperplaneLoop, tol: float | None = None) -> ClassificationRe
     # Per-sample normalization rescales the endpoints by positive reals,
     # so the closure factor picks up the ratio of coefficient norms.
     lam = closure_scale(loop, tol) * float(inc.inv[-1] / inc.inv[0])
-    branch, step = _sqrt_branch(inc.q, inc.size, tol)
+    branch, step = _sqrt_branch(inc.q, inc.size)
     bit = _branch_bit(lam, branch)
     letters = _fiber_letters(inc.d / branch, tol)
     word = group.normalize(letters + ([(group.KAPPA, 1)] if bit else []))
@@ -370,13 +429,21 @@ def concat(l1: HyperplaneLoop, l2: HyperplaneLoop,
     # Before the rows are scaled, so that a loop with a non-finite last row
     # is refused as not closed rather than multiplied through.
     lam = closure_scale(l1, tol) * closure_scale(l2, tol)
-    samples = LoopSamples._from_rows(np.concatenate((r1, mu * r2[1:])))
-    return HyperplaneLoop(l1.n, samples, lam)
+    rows = np.empty((len(r1) + len(r2) - 1, l1.n + 1), dtype=complex, order="F")
+    rows[:len(r1)], tail = r1, rows[len(r1):]
+    # A non-finite row of l2 is scaled quietly and left for classify to refuse.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(mu, r2[1:], out=tail)
+    # The rows were checked when l1 and l2 were built.  Scaled by |mu| >= 1, a nonzero entry
+    # stays nonzero even in the subnormal range; a smaller mu may underflow a row to zero.
+    if abs(mu) < 1.0:
+        _refuse_zero_rows(tail[:, :-1], len(r1))
+    return HyperplaneLoop._from_checked(l1.n, LoopSamples._from_rows(rows), lam)
 
 
 def reverse(loop: HyperplaneLoop, tol: float | None = None) -> HyperplaneLoop:
     """Orientation reversal; inverts the class and the closure factor."""
-    return HyperplaneLoop(loop.n, loop.samples[::-1], 1.0 / closure_scale(loop, tol))
+    return HyperplaneLoop._from_checked(loop.n, loop.samples[::-1], 1.0 / closure_scale(loop, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,6 @@ def path_points(pieces, tol):
     return np.array(points, dtype=complex)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # points near 1e308
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @example(pieces=[("huge", 155.0, 0.0)], tol=1e-9)  # |seg|^2 overflows
 @given(pieces=st.lists(st.one_of(grazes, touches, fars, huges, repeats), min_size=1, max_size=12),
@@ -683,6 +682,22 @@ def test_classify_rejection_index(name):
     assert f"{index}" in str(info.value)
 
 
+def test_raw_non_finite_row_named_before_earlier_scaled_one():
+    # Row 5 is finite but not at |c| = 1 (a subnormal c); row 9 has a NaN part.  incidence
+    # scans for non-finite parts only after the scaled values have turned out not finite,
+    # and that scan still comes first, so row 9 is named with its own message.
+    loop = alpha_with(9, c=[1.0, complex(0.0, math.nan), 0, 0])
+    loop = with_sample(loop, 5, loop.samples[5].scaled(1e-320))
+    for refuse in (loops.classify, lambda loop: geometry.incidence(loop.samples.c, loop.samples.d)):
+        with pytest.raises(NonFiniteSample) as info:
+            refuse(loop)
+        assert info.value.index == 9
+        assert str(info.value) == "sample 9 has a non-finite coefficient or offset"
+    # without row 9, row 5 is named as not finite at |c| = 1
+    with pytest.raises(NonFiniteSample, match="^sample 5 is not finite at \\|c\\| = 1$"):
+        loops.classify(with_sample(loops.make_alpha_loop(4), 5, loop.samples[5]))
+
+
 @pytest.mark.parametrize("data, cause", [
     ({"n": 3}, "KeyError"),
     ([1, 2], "TypeError"),
@@ -734,6 +749,131 @@ def test_concat_refuses_infinite_last_row_as_not_closed():
     bad = with_sample(a, last, Hyperplane(c, a.samples.d[last]))
     with pytest.raises(NotClosed, match=f"at sample {last} exceeds"):
         loops.concat(a, bad)
+
+
+def test_concat_scales_non_finite_middle_row_quietly():
+    # under the suite's RuntimeWarning-as-error filter: the row of the second loop is
+    # scaled without "invalid value encountered in multiply", and classify names it
+    a = loops.make_alpha_loop(4)
+    c = a.samples.c[10].copy()
+    c[0] = math.inf
+    bad = with_sample(a, 10, Hyperplane(c, a.samples.d[10]))
+    joined = loops.concat(a, bad)
+    index = len(a.samples) + 9
+    with pytest.raises(NonFiniteSample, match=f"^sample {index} has a non-finite") as info:
+        loops.classify(joined)
+    assert info.value.index == index
+
+
+def test_concat_refuses_row_scaled_to_zero():
+    # the junction factor (about 1e-300) underflows a small row of the second loop to zero;
+    # concat checks the rows it scaled and names that row at its place in the joined loop
+    a = loops.make_alpha_loop(4, m=64)
+    rows = np.array(a.samples.rows) * 1e300
+    rows[20] = a.samples.rows[20] * 1e-30
+    big = HyperplaneLoop(4, loops.LoopSamples(rows[:, :4], rows[:, 4]), a.closure_lambda)
+    index = len(a.samples) + 19
+    with pytest.raises(ZeroCoefficientVector, match=f"^coefficient vector of sample {index} is zero$"):
+        loops.concat(a, big)
+
+
+def test_closure_fits_once_per_loop(monkeypatch):
+    calls = collections.Counter()
+    fit = loops._scale_fit
+
+    def counted(*args):
+        calls["fit"] += 1
+        return fit(*args)
+    monkeypatch.setattr(loops, "_scale_fit", counted)
+    pieces = generator_pieces(4, 64)
+    draw = ["a", "b^-1", "k", "a^-1"]
+    for name in draw:
+        loops.closure_scale(pieces[name])
+    calls.clear()
+    whole = pieces[draw[0]]
+    for name in draw[1:]:
+        whole = loops.concat(whole, pieces[name])
+    assert loops.classify(whole).word == word("a b^-1 k a^-1")
+    # one junction fit per concat, one closure fit per new loop, none for the warm pieces
+    assert calls["fit"] == 6
+    calls.clear()
+    loops.closure_scale(whole)
+    loops.closure_scale(whole, 1e-6)
+    assert calls["fit"] == 0
+
+
+def checked_concat(l1, l2):
+    """concat through the public constructor, which checks every row again, with the
+    closure factors fitted on fresh loops: junction, closures, then shape and zero rows."""
+    tol = geometry.default_tol()
+    r1, r2 = l1.samples.rows, l2.samples.rows
+    mu, residual, size = loops._scale_fit(r2[0], r1[-1])
+    if mu == 0 or not residual <= tol * abs(mu) * size:
+        raise BadParameters("loops do not share their junction hyperplane")
+    lam = 1.0
+    for loop in (l1, l2):
+        lam *= loops.closure_scale(HyperplaneLoop(loop.n, loop.samples, loop.closure_lambda))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.concatenate((r1, mu * r2[1:]))
+    return HyperplaneLoop(l1.n, loops.LoopSamples(rows[:, :-1], rows[:, -1]), lam)
+
+
+def exact_outcome(call):
+    """classify's word, matrices and diagnostics as float.hex, or the refusal's class, index
+    and message, of the loop that call builds (or the refusal of building it)."""
+    try:
+        result = loops.classify(call())
+    except QmonoError as exc:
+        return type(exc), getattr(exc, "index", None), str(exc)
+    d = result.diagnostics
+    return (str(result.word), result.matrix_even.rows(), result.matrix_odd.rows(),
+            float(d.min_discriminant_margin).hex(), float(d.max_relative_step).hex(),
+            d.crossing_count, d.branch_flip)
+
+
+def mutated_piece(piece, kind, where):
+    """piece with one row made non-finite, tangent or subnormal, or scaled so far down that
+    the junction factor of a concat onto it (about 1e-300) underflows it to zero."""
+    rows = np.array(piece.samples.rows)
+    n, i = piece.n, where % len(rows)
+    if kind == "nan":
+        rows[i, where % (n + 1)] = complex(math.nan, 0.0)
+    elif kind == "tangent":
+        rows[i, n] = np.sqrt(np.sum(rows[i, :n] ** 2))  # d^2 = q
+    elif kind == "subnormal":
+        rows[i] *= 1e-320
+    elif kind == "zero-scaled":
+        rows *= 1e300
+        rows[i] = piece.samples.rows[i] * 1e-30
+    return HyperplaneLoop(n, loops.LoopSamples(rows[:, :n], rows[:, n]), piece.closure_lambda)
+
+
+@settings(max_examples=240, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 5),
+       names=st.lists(st.sampled_from(["a", "b", "k", "a^-1", "b^-1", "k^-1"]), min_size=1,
+                      max_size=6),
+       kind=st.sampled_from(["none", "nan", "tangent", "subnormal", "zero-scaled"]),
+       which=st.integers(0, 5), where=st.integers(0, 2**16))
+def test_concat_chain_matches_checked_loops(n, names, kind, which, where):
+    pieces = [cached_pieces(n, 64)[name] for name in names]
+    if kind != "none":
+        i = which % len(pieces)
+        pieces[i] = mutated_piece(pieces[i], kind, where)
+
+    def chain(join):
+        whole = pieces[0]
+        for piece in pieces[1:]:
+            whole = join(whole, piece)
+        return whole
+
+    outcome = exact_outcome(lambda: chain(loops.concat))
+    event(f"{kind}: " + (outcome[0].__name__ if isinstance(outcome[0], type) else "classified"))
+    assert exact_outcome(lambda: chain(checked_concat)) == outcome
+    try:
+        whole = chain(loops.concat)
+    except QmonoError:
+        return  # refused while joining, by both
+    assert exact_outcome(lambda: loops.loop_from_dict(loops.loop_to_dict(whole))) == outcome
 
 
 # --- kappa_bit and fiber_word are views of classify -----------------------
