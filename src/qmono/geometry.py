@@ -45,15 +45,40 @@ def default_tol(tol: float | None = None) -> float:
     return value
 
 
-def _unit_scaled(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u = c / top along the last axis, with top = max(|Re c_i|, |Im c_i|), together with
-    s = |u|^2 and 1 / |c| = (1 / top) / sqrt(s).  A part of u is +-1, so s lies in [1, 2n] and
-    cannot over- or underflow.  u is taken as c * (1 / top): the rounding of 1 / top scales
-    every part of a row alike, so it cancels from u u / s and from 1 / |c|."""
-    inv_top = 1.0 / np.maximum(abs(c.real), abs(c.imag)).max(axis=-1, keepdims=True)
-    u = c * inv_top
-    size2 = (u.real * u.real + u.imag * u.imag).sum(axis=-1)
-    return u, size2, inv_top[..., 0] / np.sqrt(size2)
+def _unit_scaled(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """q = sum u_i^2 / s and 1 / |c| = (1 / top) / sqrt(s) for the rows of c: (m, n), where
+    u = c / top, top = max(|Re c_i|, |Im c_i|) and s = |u|^2.  A part of u is +-1, so s lies
+    in [1, 2n] and cannot over- or underflow.  u is taken as c * (1 / top): the rounding of
+    1 / top scales every part of a row alike, so it cancels from u u / s and from 1 / |c|.
+
+    The n columns of a column-major c are swept one at a time, so no temporary holds more
+    than 2m values (c is copied to column-major order first if it is not).  The sums start
+    at zero and add the columns in order, as numpy's axis-1 sum of a column-major array does,
+    so they give the same bits as that sum."""
+    c = np.asfortranarray(c)
+    m, n = c.shape
+    # Row j of parts is column j as its 2m real and imaginary parts, a view of c; top is the
+    # larger of max and -min over a row's 2n parts.
+    parts = c.T.view(float)
+    high, low = np.maximum.reduce(parts, axis=0), np.minimum.reduce(parts, axis=0)
+    np.maximum(high, np.negative(low, out=low), out=high)
+    top = np.maximum(high[0::2], high[1::2])
+    del high, low  # freed before the sweep allocates its columns
+    # 1 / top as a complex column, as numpy casts it to multiply a complex one.
+    scale = np.zeros(m, dtype=complex)
+    inv_top = np.divide(1.0, top, out=scale.real)
+    size2, q = np.zeros(m), np.zeros(m, dtype=complex)
+    u, uu = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
+    # The squared parts of u_j, in uu's memory before u_j^2 is written there.
+    u_parts, squares = u.view(float), uu.view(float)
+    re2, im2 = squares[0::2], squares[1::2]
+    for j in range(n):
+        np.multiply(c[:, j], scale, out=u)
+        np.multiply(u_parts, u_parts, out=squares)
+        np.add(size2, np.add(re2, im2, out=top), out=size2)
+        np.add(q, np.multiply(u, u, out=uu), out=q)
+    np.divide(q, size2, out=q)
+    return q, np.divide(inv_top, np.sqrt(size2, out=size2), out=top)
 
 
 class Hyperplane:
@@ -111,8 +136,7 @@ def incidence(c: np.ndarray, d: np.ndarray, tol: float | None = None) -> Inciden
     # A NaN or infinite part, a zero or subnormal c, or a d too large for |c| = 1 makes q or
     # dn non-finite here, and is refused just below.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u, size2, inv = _unit_scaled(c)
-        q = (u * u).sum(axis=1) / size2
+        q, inv = _unit_scaled(c)
         dn = d * inv
         # A sum with a non-finite term is not finite; one of finite terms may still overflow.
         suspect = not np.isfinite(q.sum() + dn.sum())

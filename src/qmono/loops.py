@@ -18,9 +18,10 @@ r_i = sqrt(q_i), s_i = eps_i r_i where eps_0 = 1 and eps_{i+1} = eps_i
 sign(Re(r_{i+1} conj(r_i))); the q-step check |q_{i+1} - q_i| < |q_i| keeps
 r_{i+1} / r_i within pi/4 of +-1, so the sign never ties.  A refusal names
 the first offending sample; the checks run in the order non-finite, general
-position, closure, q-step, branch endpoint, puncture collision, fiber step.
-The non-finite check is `geometry.incidence`'s, the one the scalar predicates
-and `Hyperplane.normalized` make at index 0.
+position, closure, q-step, branch endpoint, non-finite w, puncture collision,
+fiber step.  The first non-finite check is `geometry.incidence`'s, the one the
+scalar predicates and `Hyperplane.normalized` make at index 0; the second
+refuses, also as NonFiniteSample, a w = d / s past the largest float.
 `kappa_bit` and `fiber_word` are the two parts of `classify`'s word, not passes
 of their own, so they refuse what it refuses, with the same error.
 
@@ -37,13 +38,16 @@ scale of 1/8, so that no length or sum of two distances overflows.
 A loop fits its closure factor once: `HyperplaneLoop._closure_fit`, the
 _scale_fit of its last sample on its first (with closure_lambda validated when
 given), is computed on first use and kept, as the samples are read-only;
-`closure_scale` compares its residual with tol.  `concat` and `reverse` build
-their result without the checks of the public constructor, whose shape and
-nonzero rows follow from the inputs: `concat` checks the junction and both
-closures, scales the second loop's rows quietly (a non-finite row is left for
-`classify` to refuse) and checks for zero only the rows it scaled, and only when
-the junction factor is below 1 in modulus, as only then can it underflow a row
-to zero; `reverse` checks the closure only.
+`closure_scale` compares its residual with tol.  The first sample's _frame (its
+largest modulus, unit row and squared norm) is kept likewise, as
+`HyperplaneLoop._head_frame`, and a loop built by `concat` takes the first
+loop's, so each closure or junction fit is one inner product and one residual.
+`concat` and `reverse` build their result without the checks of the public
+constructor, whose shape and nonzero rows follow from the inputs: `concat`
+checks the junction and both closures, scales the second loop's rows quietly (a
+non-finite row is left for `classify` to refuse) and checks for zero only the
+rows it scaled, and only when the junction factor is below 1 in modulus, as only
+then can it underflow a row to zero; `reverse` checks the closure only.
 
 Crossing conventions are fixed so that the model generator loops
 (counterclockwise around +1, counterclockwise around -1, and the
@@ -57,14 +61,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import group, representation
 from .errors import (AsymptoticSample, BadParameters, BranchAmbiguity, DimensionTooSmall,
-                     MalformedLoopFile, NotClosed, NotGeneralPosition, PunctureCollision,
-                     UndersampledLoop, ZeroCoefficientVector)
+                     MalformedLoopFile, NonFiniteSample, NotClosed, NotGeneralPosition,
+                     PunctureCollision, UndersampledLoop, ZeroCoefficientVector)
 from .geometry import Hyperplane, default_tol, incidence
 from .group import FreeWord, GroupWord
 from .representation import MonodromyMatrix, Parity
@@ -158,15 +162,23 @@ class HyperplaneLoop:
         return loop
 
     @cached_property
+    def _head_frame(self) -> "_Frame":
+        """_frame of the first sample, computed on first use and kept, as the samples are
+        read-only.  A loop built by concat starts with the first loop's row, and takes its
+        frame."""
+        return _frame(self.samples.rows[0])
+
+    @cached_property
     def _closure_fit(self) -> Tuple[complex, float, float]:
-        """_scale_fit of the last sample on the first, with closure_lambda when given, which
-        is refused as NotClosed unless finite and nonzero.  Computed on first use and kept:
-        the samples are read-only."""
-        rows, lam, last = self.samples.rows, self.closure_lambda, len(self.samples) - 1
+        """_scale_fit of the last sample on the head frame, with closure_lambda when given,
+        which is refused as NotClosed unless finite and nonzero.  Computed on first use and
+        kept."""
+        lam, last = self.closure_lambda, len(self.samples) - 1
         if lam is not None and not (cmath.isfinite(lam) and lam != 0):
             raise NotClosed(last, f"closure_lambda must be finite and nonzero, got {lam} "
                                   f"(sample {last})")
-        return _scale_fit(rows[0], rows[-1], None if lam is None else complex(lam))
+        return _scale_fit(self._head_frame, self.samples.rows[-1],
+                          None if lam is None else complex(lam))
 
 
 def _refuse_zero_rows(c: np.ndarray, first: int = 0) -> None:
@@ -221,17 +233,35 @@ def continue_sqrt_branch(q_samples: Sequence[complex],
     return _sqrt_branch(q, size)[0].tolist()
 
 
-def _scale_fit(u: np.ndarray, v: np.ndarray,
-               mu: complex | None = None) -> Tuple[complex, float, float]:
-    """mu with v = mu u (least squares unless given), max |v - mu u| and |u|.  The inner
-    products are taken with u / max |u_i|, whose squared norm lies in [1, len(u)], so rows at
-    1e200 or 1e-300 neither overflow nor underflow them.  A u that is subnormal or not finite,
-    where that division overflows or is invalid, gets a NaN residual, which every caller refuses."""
+class _Frame(NamedTuple):
+    """A row u as _scale_fit reads it: a copy of u, top = max |u_i|, unit = u / top, and
+    size2 = |unit|^2 in [1, len(u)], so rows at 1e200 or 1e-300 neither overflow nor underflow
+    the inner products.  A u that is subnormal or not finite, where that division overflows
+    or is invalid, has unit None."""
+
+    u: np.ndarray
+    top: float
+    unit: Optional[np.ndarray]
+    size2: float
+
+
+def _frame(row: np.ndarray) -> _Frame:
+    """The frame of row, holding a copy of it rather than a view of the loop's array."""
+    u = row.copy()
     top = float(np.abs(u).max())
     if not _SMALLEST_NORMAL <= top < math.inf:
-        return complex("nan"), math.nan, top
+        return _Frame(u, top, None, math.nan)
     unit = u / top
-    size2 = float(np.vdot(unit, unit).real)
+    return _Frame(u, top, unit, float(np.vdot(unit, unit).real))
+
+
+def _scale_fit(frame: _Frame, v: np.ndarray,
+               mu: complex | None = None) -> Tuple[complex, float, float]:
+    """mu with v = mu u (least squares unless given), max |v - mu u| and |u|, for the row u
+    of frame.  A frame without a unit row gets a NaN residual, which every caller refuses."""
+    u, top, unit, size2 = frame
+    if unit is None:
+        return complex("nan"), math.nan, top
     mu = complex(np.vdot(unit, v)) / size2 / top if mu is None else mu
     return mu, float(np.abs(v - mu * u).max()), top * math.sqrt(size2)
 
@@ -331,7 +361,12 @@ def classify(loop: HyperplaneLoop, tol: float | None = None) -> ClassificationRe
     lam = closure_scale(loop, tol) * float(inc.inv[-1] / inc.inv[0])
     branch, step = _sqrt_branch(inc.q, inc.size)
     bit = _branch_bit(lam, branch)
-    letters = _fiber_letters(inc.d / branch, tol)
+    # w = d / s overflows where |s| is small and |d| near the largest float.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = inc.d / branch
+    NonFiniteSample.refuse(~np.isfinite(w), "sample {i} is not finite on the model fiber: "
+                           "w = d / s overflows")
+    letters = _fiber_letters(w, tol)
     word = group.normalize(letters + ([(group.KAPPA, 1)] if bit else []))
     diags = LoopDiagnostics(min_discriminant_margin=float(inc.margin.min()),
                             max_relative_step=float(step.max()),
@@ -422,7 +457,7 @@ def concat(l1: HyperplaneLoop, l2: HyperplaneLoop,
     if l1.n != l2.n:
         raise BadParameters("loops have different ambient dimensions")
     r1, r2 = l1.samples.rows, l2.samples.rows
-    mu, residual, size = _scale_fit(r2[0], r1[-1])
+    mu, residual, size = _scale_fit(l2._head_frame, r1[-1])
     # |r1[-1]| = |mu| |r2[0]| up to the residual.
     if mu == 0 or not residual <= tol * abs(mu) * size:
         raise BadParameters("loops do not share their junction hyperplane")
@@ -438,7 +473,10 @@ def concat(l1: HyperplaneLoop, l2: HyperplaneLoop,
     # stays nonzero even in the subnormal range; a smaller mu may underflow a row to zero.
     if abs(mu) < 1.0:
         _refuse_zero_rows(tail[:, :-1], len(r1))
-    return HyperplaneLoop._from_checked(l1.n, LoopSamples._from_rows(rows), lam)
+    joined = HyperplaneLoop._from_checked(l1.n, LoopSamples._from_rows(rows), lam)
+    # Its first row is l1's; a cached_property reads the instance dict first.
+    joined.__dict__["_head_frame"] = l1._head_frame
+    return joined
 
 
 def reverse(loop: HyperplaneLoop, tol: float | None = None) -> HyperplaneLoop:

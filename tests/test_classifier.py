@@ -670,6 +670,12 @@ REJECTIONS = {
                UndersampledLoop, 2),
     "fiber-step": (lambda: line_loop([0, 0.3, 0.6, 0.6 + 0.5j, 0.3, 0]),
                    UndersampledLoop, 2),
+    # |q| = 1e-5 at |c| = 1, so w = d / s is past the largest float at d = 1e308 (classify once
+    # warned of the overflow and answered the identity) and about 2e305 at d = 1e303, where the
+    # path from 0 runs out through +1
+    **{f"near-isotropic-{d:.0e}": (functools.partial(line_loop, [d] * 65, [[1, 0.99999j, 0]] * 65),
+                                   error, 0)
+       for d, error in ((1e308, NonFiniteSample), (1e303, PunctureCollision))},
 }
 
 
@@ -779,35 +785,47 @@ def test_concat_refuses_row_scaled_to_zero():
 
 def test_closure_fits_once_per_loop(monkeypatch):
     calls = collections.Counter()
-    fit = loops._scale_fit
 
-    def counted(*args):
-        calls["fit"] += 1
-        return fit(*args)
-    monkeypatch.setattr(loops, "_scale_fit", counted)
+    def count(name):
+        fn = getattr(loops, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(loops, name, counted)
+    count("_frame")
+    count("_scale_fit")
     pieces = generator_pieces(4, 64)
     draw = ["a", "b^-1", "k", "a^-1"]
-    for name in draw:
-        loops.closure_scale(pieces[name])
+    # copies with nothing cached yet
+    cold = {name: HyperplaneLoop(4, pieces[name].samples, pieces[name].closure_lambda)
+            for name in draw}
     calls.clear()
-    whole = pieces[draw[0]]
+    for name in draw:
+        loops.closure_scale(cold[name])
+    assert calls == {"_frame": 4, "_scale_fit": 4}
+    calls.clear()
+    whole = cold[draw[0]]
     for name in draw[1:]:
-        whole = loops.concat(whole, pieces[name])
+        whole = loops.concat(whole, cold[name])
     assert loops.classify(whole).word == word("a b^-1 k a^-1")
-    # one junction fit per concat, one closure fit per new loop, none for the warm pieces
-    assert calls["fit"] == 6
+    # one junction fit per concat, one closure fit per new loop, none for the warm pieces;
+    # no frame: the junctions read the pieces' and each joined loop takes its first loop's
+    assert calls == {"_scale_fit": 6}
+    assert whole._head_frame is cold[draw[0]]._head_frame
     calls.clear()
     loops.closure_scale(whole)
     loops.closure_scale(whole, 1e-6)
-    assert calls["fit"] == 0
+    assert not calls
 
 
 def checked_concat(l1, l2):
     """concat through the public constructor, which checks every row again, with the
-    closure factors fitted on fresh loops: junction, closures, then shape and zero rows."""
+    closure factors fitted on fresh loops and the junction on a fresh frame: junction,
+    closures, then shape and zero rows."""
     tol = geometry.default_tol()
     r1, r2 = l1.samples.rows, l2.samples.rows
-    mu, residual, size = loops._scale_fit(r2[0], r1[-1])
+    mu, residual, size = loops._scale_fit(loops._frame(r2[0]), r1[-1])
     if mu == 0 or not residual <= tol * abs(mu) * size:
         raise BadParameters("loops do not share their junction hyperplane")
     lam = 1.0

@@ -2,6 +2,7 @@ import cmath
 import decimal
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -272,3 +273,124 @@ def test_inverse_norm_matches_exact_norm():
                 exact_q, exact_d = exact_at_unit_norm(row, di)
                 assert abs(q - exact_q) <= 4 * eps
                 assert abs(dn - exact_d) <= 4 * eps * abs(exact_d)
+
+
+# --- incidence sweeps the columns ----------------------------------------
+
+def whole_array_unit_scaled(c):
+    """q and 1 / |c| as incidence once took them, on the whole (m, n) array at once: the
+    oracle for the column sweep, which holds m-long temporaries only."""
+    inv_top = 1.0 / np.maximum(abs(c.real), abs(c.imag)).max(axis=-1, keepdims=True)
+    u = c * inv_top
+    size2 = (u.real * u.real + u.imag * u.imag).sum(axis=-1)
+    return (u * u).sum(axis=1) / size2, inv_top[..., 0] / np.sqrt(size2)
+
+
+def incidence_outcome(call):
+    """The Incidence that call returns, or its refusal's class, index and message."""
+    try:
+        return call()
+    except NonFiniteSample as exc:
+        return type(exc), exc.index, str(exc)
+
+
+def oracle_outcome(monkeypatch, call):
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_unit_scaled", whole_array_unit_scaled)
+        return incidence_outcome(call)
+
+
+def assert_same_outcome(got, want, row=slice(None)):
+    """got equals want, or row of want, field by field, with NaN equal to NaN and the sign
+    of every zero (which np.array_equal does not see) the same."""
+    assert isinstance(got, geometry.Incidence) == isinstance(want, geometry.Incidence)
+    if not isinstance(want, geometry.Incidence):
+        assert got == want
+        return
+    for name, a, b in zip(want._fields, got, want):
+        b = b[row]
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+        if a.dtype.kind in "fc":
+            assert np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float))), name
+
+
+def loop_array(rng, m, n):
+    """A column-major (m, n+1) loop array with parts over six decades, some -0.0 parts, rows of
+    negative reals (each u_i^2 then has imaginary part -0.0, and so has their sum unless it
+    starts at +0.0), and tangent (d^2 = q) and asymptotic (c = e1 + i e2) rows."""
+    shape = (m, n + 1)
+    rows = np.asfortranarray(10.0 ** rng.uniform(-3, 3, shape)
+                             * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    rows.real[rng.random(shape) < 0.1] = -0.0
+    rows.imag[rng.random(shape) < 0.1] = -0.0
+    rows[1::5] = -abs(rows.real[1::5])
+    rows[::7, n] = np.sqrt((rows[::7, :n] ** 2).sum(axis=1))
+    rows[3::11, :n] = 0.0
+    rows[3::11, :2] = 1.0, 1j
+    return rows
+
+
+SCALES = (1.0, 1e200, 1e-300, 1e-310)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_incidence_matches_whole_array_oracle(monkeypatch, n):
+    # Every field, or the refusal, the same as the whole-array formula's, for loops scaled as a
+    # whole and loops with all but the first column scaled (at 1e-310, subnormal parts in rows
+    # whose largest part is normal), at m = 2 to 1537, with NaN and infinite rows added.
+    rng = np.random.default_rng(n)
+    for m in (2, 5, 64, 1537):
+        base = loop_array(rng, m, n)
+        for scale in SCALES:
+            whole, tail = base * scale, base.copy(order="F")
+            tail[:, 1:n] *= scale
+            bad = []
+            for part, value in ((rng.integers(n), math.nan), (rng.integers(n), math.inf),
+                                (n, complex(0, math.nan)), (n, math.inf)):
+                rows = tail.copy(order="F")
+                rows[rng.integers(m), part] = value
+                bad.append(rows)
+            for rows in (whole, tail, *bad):
+                c, d = rows[:, :n], rows[:, n]
+                assert_same_outcome(incidence_outcome(lambda: geometry.incidence(c, d)),
+                                    oracle_outcome(monkeypatch, lambda: geometry.incidence(c, d)))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_one_row_incidence_matches_its_row_in_a_loop(monkeypatch, n):
+    # The scalar predicates' one-row path gives a hyperplane the bits that the whole-array
+    # formula gives its row in a column-major loop.  That formula summed a lone row's n parts
+    # pairwise instead, which for n >= 4 could differ in the last bit; the column sweep adds the
+    # parts in order whatever m.  Refusals of NaN and infinite rows match the formula's own.
+    rng = np.random.default_rng(100 + n)
+    base = loop_array(rng, 64, n)
+    for scale in SCALES[:3]:
+        rows = base * scale
+        want = oracle_outcome(monkeypatch, lambda: geometry.incidence(rows[:, :n], rows[:, n]))
+        for i in range(len(rows)):
+            h = Hyperplane(rows[i, :n], rows[i, n])
+            assert_same_outcome(incidence_outcome(lambda: geometry._incidence_of(h, None)),
+                                want, slice(i, i + 1))
+    for c, d in (([math.nan, 1, 0], 0), ([1, math.inf, 0], 0), ([1, 0, 0], complex(0, math.inf)),
+                 ([1e-320, 0, 0], 0), ([1e-300, 0, 0], 1e10)):
+        h = Hyperplane(c + [0] * (n - 3), d)
+        assert_same_outcome(incidence_outcome(lambda: geometry._incidence_of(h, None)),
+                            oracle_outcome(monkeypatch, lambda: geometry._incidence_of(h, None)))
+
+
+def test_incidence_working_set_does_not_grow_with_n():
+    # Beyond its outputs, incidence holds m-long temporaries only: at m = 4096 its peak is the
+    # same for n = 4 and n = 16, where the whole-array formula's grew from 0.45 to 2 MB.
+    def transient(n, m=4096):
+        rng = np.random.default_rng(n)
+        rows = np.asfortranarray(rng.standard_normal((m, n + 1))
+                                 + 1j * rng.standard_normal((m, n + 1)))
+        tracemalloc.start()
+        try:
+            inc = geometry.incidence(rows[:, :n], rows[:, n])
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current >= sum(a.nbytes for a in inc)
+        return peak - current
+    assert transient(16) <= transient(4)
