@@ -3,7 +3,8 @@
 Every subcommand prints a human-readable summary by default and a
 machine-readable document with --json.  Complex numbers are serialized
 as [re, im] pairs.  Exit status: 0 success, 1 domain error, 2 usage
-error.  The env var QMONO_TOL overrides the default tolerance 1e-9.
+error.  `classify` reads the env var QMONO_TOL, a tolerance 0 < tol < 1 that
+overrides the default 1e-9; no other command, and no library call, reads it.
 
 Each `_cmd_*` handler returns its (document, text), `selftest` also its
 exit status; `main` alone prints one of the two, maps a QmonoError or an
@@ -15,11 +16,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Sequence
 
 from . import group, homology, orbits, representation
-from .errors import BadParameters, MalformedLoopFile, QmonoError
+from .errors import BadParameters, BadTolerance, MalformedLoopFile, QmonoError
 from .representation import Parity
 
 
@@ -113,7 +115,10 @@ def _cmd_classify(args):
             raise MalformedLoopFile(f"{args.loop_file}: {type(exc).__name__}: {exc}") from None
     if args.n is not None and args.n != loop.n:
         raise BadParameters(f"--n {args.n} does not match loop dimension {loop.n}")
-    result = loops.classify(loop)
+    try:  # an empty QMONO_TOL counts as unset; a bad one is classify's only BadTolerance
+        result = loops.classify(loop, os.environ.get("QMONO_TOL") or None)
+    except BadTolerance as exc:
+        raise BadTolerance(f"QMONO_TOL: {exc}") from None
     diags = result.diagnostics
     document = {
         "word": group.format_word(result.word),

@@ -9,19 +9,21 @@ lambda d).  `incidence` alone refuses, without a numpy warning, a row
 with a NaN or infinite part or one that is not finite once scaled to
 |c| = 1, as NonFiniteSample at the first such row; `classify`, and the
 scalar predicates and `Hyperplane.normalized` at index 0, go through it.
+`quad_form`, which works at the scale of c, refuses a q that is not finite
+likewise, as NonFiniteSample(0).
 
 A coefficient vector is zero, and refused as ZeroCoefficientVector, when
 every real and imaginary part is +0.0 or -0.0; a NaN or a subnormal part
 makes it nonzero.  The test is one np.count_nonzero call, and the
-reductions are ndarray methods, not numpy's module-level wrappers, whose
-Python dispatch cost several microseconds per call on an n-vector:
-building a Hyperplane costs about 1 us, a `scaled` copy 2-4 us and
-`quad_form` 3-5 us (2-core Xeon, Python 3.11, numpy 2.4).
+reductions are ndarray methods, not numpy's module-level wrappers.
+
+A tolerance comes from the caller alone: `default_tol` gives DEFAULT_TOL
+for None and checks any other value; no function reads the environment.
 """
 
 from __future__ import annotations
 
-import os
+import cmath
 from collections import namedtuple
 
 import numpy as np
@@ -32,16 +34,14 @@ DEFAULT_TOL = 1e-9
 
 
 def default_tol(tol: float | None = None) -> float:
-    """tol, else the QMONO_TOL env var, else DEFAULT_TOL; anything but a number
-    with 0 < tol < 1 raises BadTolerance (a NaN would switch every check off)."""
-    given = (os.environ.get("QMONO_TOL") or DEFAULT_TOL) if tol is None else tol
+    """DEFAULT_TOL when tol is None, else tol; anything but a number with 0 < tol < 1
+    raises BadTolerance (a NaN would switch every check off)."""
     try:
-        value = float(given)
+        value = DEFAULT_TOL if tol is None else float(tol)
     except (TypeError, ValueError):
         value = float("nan")
     if not 0.0 < value < 1.0:
-        name = "QMONO_TOL" if tol is None else "tol"
-        raise BadTolerance(f"{name} must be a number with 0 < tol < 1, got {given!r}")
+        raise BadTolerance(f"tol must be a number with 0 < tol < 1, got {tol!r}")
     return value
 
 
@@ -115,11 +115,16 @@ class Hyperplane:
 
 
 def quad_form(c) -> complex:
-    """q = sum c_i^2, the dual-quadric evaluation of the direction vector."""
+    """q = sum c_i^2, the dual-quadric evaluation of the direction vector; a q that is not
+    finite, as when a part of c is near 1e155 or more, is refused as NonFiniteSample(0)."""
     c = np.asarray(c, dtype=complex)
     if not np.count_nonzero(c):
         raise ZeroCoefficientVector("coefficient vector is zero")
-    return complex((c * c).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = complex((c * c).sum())
+    if not cmath.isfinite(q):
+        raise NonFiniteSample(0, "q = sum c_i^2 of sample 0 is not finite")
+    return q
 
 
 Incidence = namedtuple("Incidence", "q size d inv tangent asymptotic margin")
@@ -141,12 +146,11 @@ def incidence(c: np.ndarray, d: np.ndarray, tol: float | None = None) -> Inciden
         # A sum with a non-finite term is not finite; one of finite terms may still overflow.
         suspect = not np.isfinite(q.sum() + dn.sum())
     if suspect:
-        bad = ~(np.isfinite(q) & np.isfinite(dn))
-        if bad.any():
-            # Every row with a non-finite part is among the bad rows, and is named first.
-            NonFiniteSample.refuse(~(np.isfinite(c).all(axis=1) & np.isfinite(d)),
-                                   "sample {i} has a non-finite coefficient or offset")
-            NonFiniteSample.refuse(bad, "sample {i} is not finite at |c| = 1")
+        # A row with a non-finite part makes q or dn non-finite, and is named first.
+        NonFiniteSample.refuse(~(np.isfinite(c).all(axis=1) & np.isfinite(d)),
+                               "sample {i} has a non-finite coefficient or offset")
+        NonFiniteSample.refuse(~(np.isfinite(q) & np.isfinite(dn)),
+                               "sample {i} is not finite at |c| = 1")
     # Past |d| = 2^64, |d^2 - q| exceeds both tol |d|^2 and |q| for every tol < 1, as |q| <= 1,
     # so d enters both tests at modulus 2^64, where d^2 cannot overflow.  A d whose parts are
     # below 2^64 is left as it is: it gives both tests, and the margin, as clipped.

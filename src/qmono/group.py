@@ -188,13 +188,12 @@ def invert(g: GroupWord) -> GroupWord:
 def _plain_spelling(token: str) -> str:
     """The plain spelling of a token outside the six (`a^+1`, `a^01`, ...),
     or MalformedWord."""
-    base, caret, exp_text = token.partition("^")
+    base, _, exp_text = token.partition("^")
     if base not in (ALPHA, BETA, KAPPA):
         raise MalformedWord(f"unknown token: {token!r}")
-    if caret and not exp_text:
-        raise MalformedWord(f"missing exponent in token: {token!r}")
+    # A token outside the six with one of the three bases has a caret.
     if not exp_text:
-        return base
+        raise MalformedWord(f"missing exponent in token: {token!r}")
     try:
         exp = int(exp_text)
     except ValueError:

@@ -32,8 +32,10 @@ puncture-collision test bounds the distance of both punctures to a fiber segment
 nearer puncture that the fiber-step check reads anyway, and finds the exact
 distance only on the few segments where that bound, less a few ulps for
 rounding, does not clear tol, in units of a power of two above the segment's
-length so that no square overflows.  Both tests measure the path at an exact
-scale of 1/8, so that no length or sum of two distances overflows.
+length so that no square overflows.  The fiber stage holds the closed path
+[0, w_0, ..., w_{m-1}, 0] once, at a scale of 1/8 (exact outside the subnormal
+range), and both tests and the crossings read it there, so that no length,
+sum of two distances or crossing point overflows for any finite w.
 
 A loop fits its closure factor once: `HyperplaneLoop._closure_fit`, the
 _scale_fit of its last sample on its first (with closure_lambda validated when
@@ -77,8 +79,8 @@ from .representation import MonodromyMatrix, Parity
 # closure candidates +-lambda s_0, which are 2|s_0| apart.
 _BRANCH_MATCH_RTOL = 1e-6
 
-# The collision and fiber-step tests measure the fiber path at this scale, which is exact: every
-# length, distance to a puncture and sum of two of them then stays below the largest float.
+# The fiber stage holds its path at this scale only, which is exact: every length, distance to a
+# puncture, sum of two of them and crossing point then stays below the largest float.
 _FIBER_SCALE = 0.125
 # The punctures +1 and -1 of the model fiber at that scale, as a column to broadcast against a path.
 _SCALED_PUNCTURES = np.array([[1.0], [-1.0]]) * _FIBER_SCALE
@@ -297,17 +299,16 @@ def _branch_bit(lam: complex, branch: np.ndarray) -> int:
 
 def _fiber_letters(w: np.ndarray, tol: float) -> List[group.Letter]:
     """Crossing letters of the fiber path w, closed through the origin."""
-    # Basepoint transport: close up through the origin of the model fiber.
+    # Basepoint transport: close up through the origin of the model fiber.  The path is held at
+    # _FIBER_SCALE only; the punctures, tol and the crossings scale with it.
     path = np.zeros(len(w) + 2, dtype=complex)
-    path[1:-1] = w
-    # Lengths and distances at _FIBER_SCALE; tol scales with them.
-    small = path * _FIBER_SCALE
-    seg = small[1:] - small[:-1]
+    np.multiply(w, _FIBER_SCALE, out=path[1:-1])
+    seg = path[1:] - path[:-1]
     length = np.abs(seg)
     # Distance of each point to the nearer puncture: folded onto Re >= 0, to +1.
-    fold = np.empty_like(small)
-    np.subtract(abs(small.real), _FIBER_SCALE, out=fold.real)
-    fold.imag = small.imag
+    fold = np.empty_like(path)
+    np.subtract(abs(path.real), _FIBER_SCALE, out=fold.real)
+    fold.imag = path.imag
     nearest = np.abs(fold)
     # On a segment [a, b], |x - p| >= (|a - p| + |b - p| - |b - a|) / 2, and so for both
     # punctures p, |x - p| >= (n(a) + n(b) - |b - a|) / 2 with n the distance to the nearer one.
@@ -320,7 +321,7 @@ def _fiber_letters(w: np.ndarray, tol: float) -> List[group.Letter]:
         # Measured in units of a power of two above max(|b - a|, 1/2) at full scale, so that no
         # square overflows; the scaling is exact, and is 1 on segments shorter than 1.
         unit = np.ldexp(1.0, -np.frexp(np.maximum(length[unclear], 0.5 * _FIBER_SCALE))[1])
-        rel, span = (_SCALED_PUNCTURES - small[unclear]) * unit, seg[unclear] * unit
+        rel, span = (_SCALED_PUNCTURES - path[unclear]) * unit, seg[unclear] * unit
         denom = (length[unclear] * unit) ** 2
         dot = rel.real * span.real + rel.imag * span.imag
         t = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0.0)
@@ -342,12 +343,14 @@ def _fiber_letters(w: np.ndarray, tol: float) -> List[group.Letter]:
     # paths we care about touch the axis only between the punctures.
     up = path.imag >= 0.0
     k = np.flatnonzero(up[:-1] != up[1:])
-    z1, z2 = path[k], path[k + 1]
-    xs = z1.real + (z2.real - z1.real) * (-z1.imag) / (z2.imag - z1.imag)
+    a, b = path[k], path[k + 1]
+    # The crossing x = a + t (b - a), with t = Im a / (Im a - Im b) in [0, 1], as a and b lie on
+    # either side of the axis; at _FIBER_SCALE no difference overflows.
+    xs = a.real + (b.real - a.real) * (a.imag / (a.imag - b.imag))
     # Upward past +1 is a, downward past -1 is b; the reverse crossings invert.
     exps = np.where(up[k + 1] == (xs > 0.0), 1, -1)
     return [(group.ALPHA if x > 0.0 else group.BETA, e)
-            for x, e in zip(xs.tolist(), exps.tolist()) if abs(x) > 1.0]
+            for x, e in zip(xs.tolist(), exps.tolist()) if abs(x) > _FIBER_SCALE]
 
 
 def classify(loop: HyperplaneLoop, tol: float | None = None) -> ClassificationResult:

@@ -1,7 +1,8 @@
 """Packaged self-checks: relations, invariant vector, orbit claim, fixtures.
 
 These mirror the core acceptance checks so an installed build can be
-validated without the test suite (`qmono selftest`).
+validated without the test suite (`qmono selftest`).  They run at the
+default tolerance, which those checks pin, whatever the environment.
 """
 
 from __future__ import annotations
@@ -67,29 +68,21 @@ def check_orbit_claim(box_radius: int = 8, max_word_len: int = 12) -> CheckResul
 
 
 def check_fixtures(n: int = 4, samples: int = 256) -> CheckResult:
-    expected = {
-        "alpha": group.parse_word("a"),
-        "beta": group.parse_word("b"),
-        "kappa": group.parse_word("k"),
-        "constant": group.parse_word(""),
-        "kappa-squared": group.parse_word(""),
-        "alpha-reversed": group.parse_word("a^-1"),
-    }
     for m in (samples, 2 * samples):
-        built = {
-            "alpha": loops.make_alpha_loop(n, m=m),
-            "beta": loops.make_beta_loop(n, m=m),
-            "kappa": loops.make_kappa_loop(n, m=m),
-            "constant": loops.make_constant_loop(n, m=m),
+        alpha, kappa = loops.make_alpha_loop(n, m=m), loops.make_kappa_loop(n, m=m)
+        expected = {  # name -> (loop, its word as format_word spells it)
+            "alpha": (alpha, "a"),
+            "beta": (loops.make_beta_loop(n, m=m), "b"),
+            "kappa": (kappa, "k"),
+            "constant": (loops.make_constant_loop(n, m=m), ""),
+            "kappa-squared": (loops.concat(kappa, kappa), ""),
+            "alpha-reversed": (loops.reverse(alpha), "a^-1"),
         }
-        built["kappa-squared"] = loops.concat(built["kappa"], built["kappa"])
-        built["alpha-reversed"] = loops.reverse(built["alpha"])
-        for name, loop in built.items():
-            word = loops.classify(loop).word
-            if word != expected[name]:
-                return CheckResult(
-                    "classifier-fixtures", False,
-                    f"{name} at {m} samples gave {group.format_word(word)!r}")
+        for name, (loop, text) in expected.items():
+            word = group.format_word(loops.classify(loop).word)
+            if word != text:
+                return CheckResult("classifier-fixtures", False,
+                                   f"{name} at {m} samples gave {word!r}")
     return CheckResult("classifier-fixtures", True)
 
 

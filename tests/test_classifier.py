@@ -4,6 +4,7 @@ import functools
 import math
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qmono.errors import (
     AsymptoticSample,
     BadParameters,
     BadTolerance,
+    BranchAmbiguity,
     DimensionTooSmall,
     MalformedLoopFile,
     NonFiniteSample,
@@ -141,12 +143,18 @@ def fiber_letters_oracle(w, tol):
     if (step >= reach).any():
         i = int(np.argmax(step >= reach))
         raise UndersampledLoop(i, f"fiber step {step[i]:.3g} at sample {i} reaches the nearest puncture")
-    up = path.imag >= 0.0
-    k = np.flatnonzero(up[:-1] != up[1:])
-    z1, z2 = path[k], path[k + 1]
-    xs = z1.real + (z2.real - z1.real) * (-z1.imag) / (z2.imag - z1.imag)
-    exps = np.where(up[k + 1] == (xs > 0.0), 1, -1)
-    return [(ALPHA if x > 0.0 else BETA, e) for x, e in zip(xs.tolist(), exps.tolist()) if abs(x) > 1.0]
+    letters = []
+    for a, b in zip(path[:-1].tolist(), path[1:].tolist()):
+        up = b.imag >= 0.0
+        if (a.imag >= 0.0) == up:
+            continue
+        # Where [a, b] meets the real axis, in exact rational arithmetic, so that no
+        # product or difference overflows however far out the segment lies.
+        ia, ib = Fraction(a.imag), Fraction(b.imag)
+        x = Fraction(a.real) + (Fraction(b.real) - Fraction(a.real)) * ia / (ia - ib)
+        if abs(x) > 1:
+            letters.append((ALPHA if x > 0 else BETA, 1 if up == (x > 0) else -1))
+    return letters
 
 
 def letters_outcome(fn, w, tol):
@@ -167,6 +175,11 @@ grazes = st.tuples(st.just("graze"), st.sampled_from([1.0, -1.0]), gaps, angles,
 touches = st.tuples(st.just("touch"), st.sampled_from([1.0, -1.0]), gaps, angles)
 fars = st.tuples(st.just("far"), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
 huges = st.tuples(st.just("huge"), st.floats(100.0, 308.0), angles)
+# A short arc at modulus 10^k across one half-axis, from before it to after it or back, so
+# that a crossing of the real axis lies far out.
+arcs = st.tuples(st.just("arc"), st.floats(150.0, 307.0),
+                 st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]),
+                 st.floats(1e-3, 0.3), st.floats(1e-3, 0.3), st.booleans())
 repeats = st.tuples(st.just("repeat"))
 
 
@@ -186,14 +199,20 @@ def path_points(pieces, tol):
             points.append(complex(piece[1], piece[2]))
         elif kind == "huge":
             points.append(10.0 ** piece[1] * cmath.exp(1j * piece[2]))
+        elif kind == "arc":
+            _, k, axis, before, after, back = piece
+            ends = [10.0 ** k * cmath.exp(1j * (axis + offset)) for offset in (-before, after)]
+            points += ends[::-1] if back else ends
         elif points:  # repeat: a zero-length segment
             points.append(points[-1])
     return np.array(points, dtype=complex)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=360, deadline=None, derandomize=True, database=None)
 @example(pieces=[("huge", 155.0, 0.0)], tol=1e-9)  # |seg|^2 overflows
-@given(pieces=st.lists(st.one_of(grazes, touches, fars, huges, repeats), min_size=1, max_size=12),
+@example(pieces=[("arc", 200.0, 0.0, 0.1, 0.25, False)], tol=1e-9)  # and so did the crossing
+@given(pieces=st.lists(st.one_of(grazes, touches, fars, huges, arcs, repeats), min_size=1,
+                       max_size=12),
        tol=st.sampled_from(TOLS))
 def test_fiber_letters_match_all_segments_formula(pieces, tol):
     w = path_points(pieces, tol)
@@ -976,11 +995,25 @@ def test_branch_rejection_index():
     assert info.value.index == 2
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "0", "1", "inf", "abc"])
-def test_bad_tolerance_env_refused(monkeypatch, value):
-    monkeypatch.setenv("QMONO_TOL", value)
-    with pytest.raises(BadTolerance):
-        loops.classify(loops.make_alpha_loop(4))
+def branch_ambiguous_loop():
+    """64 samples of c = (1, 0.5i, 0, 0) and d = 0.1, the last c moved by 1e-4 (0.5i, 1, 0, 0),
+    which is Hermitian-orthogonal to c, so that the closure fit cannot absorb it."""
+    c = np.tile([1.0, 0.5j, 0.0, 0.0], (64, 1))
+    c[-1] += 1e-4 * np.array([0.5j, 1.0, 0.0, 0.0])
+    return HyperplaneLoop(4, loops.LoopSamples(c, np.full(64, 0.1)))
+
+
+@pytest.mark.parametrize("tol, error, message", [
+    (1e-3, BranchAmbiguity,
+     "branch endpoint at sample 63 matches neither +-lambda s_0 (residuals 0.000103, 1.55)"),
+    (1e-9, NotClosed, "closure residual 0.0001 at sample 63 exceeds tolerance"),
+])
+def test_branch_ambiguity_refused(tol, error, message):
+    # At tol = 1e-3 the loop closes, but its branch ends 1e-4 from +lambda s_0 in relative
+    # terms, past the branch match's 1e-6; at 1e-9 it does not close.
+    with pytest.raises(error) as info:
+        loops.classify(branch_ambiguous_loop(), tol)
+    assert (type(info.value), info.value.index, str(info.value)) == (error, 63, message)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1.0, math.inf])
@@ -993,6 +1026,37 @@ def test_bad_tolerance_argument_refused(tol):
             call(tangent, tol=tol)
 
 
-def test_tolerance_env_override(monkeypatch):
-    monkeypatch.setenv("QMONO_TOL", "1e-6")
-    assert loops.classify(loops.make_alpha_loop(4)).word == word("a")
+def test_library_ignores_tolerance_env(monkeypatch):
+    # QMONO_TOL is a setting of the command line only; at 1e-3 the branch-ambiguous loop
+    # would close and be refused as BranchAmbiguity, not NotClosed
+    h = Hyperplane([1.0, 0.5j, 0.0], 0.25)
+    alpha, kappa = loops.make_alpha_loop(4), loops.make_kappa_loop(4)
+    calls = [lambda: exact_outcome(lambda: alpha), lambda: exact_outcome(branch_ambiguous_loop),
+             lambda: geometry.default_tol(), lambda: geometry.discriminant_margin(h),
+             lambda: (geometry.is_tangent(h), geometry.is_asymptotic(h),
+                      geometry.in_general_position(h)),
+             lambda: loops.closure_scale(kappa), lambda: loops.kappa_bit(kappa),
+             lambda: loops.fiber_word(alpha),
+             lambda: loops.continue_sqrt_branch([1.0, 0.9 + 0.3j, 0.7 + 0.6j]),
+             lambda: loops.loop_to_dict(loops.concat(kappa, loops.reverse(kappa)))]
+    monkeypatch.delenv("QMONO_TOL", raising=False)
+    unset = [call() for call in calls]
+    for value in ("abc", "nan", "1e-3"):
+        monkeypatch.setenv("QMONO_TOL", value)
+        assert [call() for call in calls] == unset
+
+
+def far_circle_loop(r):
+    """c = e1 and d on a circle about 1.2 r: the fiber path circles a point far out on the
+    positive axis and encloses neither puncture."""
+    circle = [1.2 * r + 0.3 * r * cmath.exp(1j * (math.pi / 2 + 2 * math.pi * j / 16))
+              for j in range(17)]
+    return line_loop([1j * r, (0.6 + 0.9j) * r, *circle, (0.6 + 0.9j) * r, 1j * r])
+
+
+@pytest.mark.parametrize("r", [10.0, 1e100, 1e154, 1e155, 1e160, 1e200, 1e250, 1e300])
+def test_far_fiber_crossings_give_identity(r):
+    # Past r = 1e154 the crossing points were once computed at full scale, where a product
+    # overflowed, with a warning, and r = 1e200 and on gave a^-1 b^-1.
+    result = loops.classify(far_circle_loop(r))
+    assert (str(result.word), result.diagnostics.crossing_count) == ("", 2)

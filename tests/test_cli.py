@@ -1,8 +1,10 @@
+import cmath
 import contextlib
 import copy
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -182,13 +184,47 @@ def test_classify_directory_refused(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "abc"])
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "1", "inf", "abc"])
 def test_classify_bad_tolerance_refused(capsys, tmp_path, monkeypatch, value):
     path = write_loop(tmp_path, "a.json", lambda data: None)
     monkeypatch.setenv("QMONO_TOL", value)
     code, _, err = run(capsys, "classify", str(path))
     assert code == 1
-    assert err.startswith("error: BadTolerance: ")
+    assert err == (f"error: BadTolerance: QMONO_TOL: tol must be a number with 0 < tol < 1, "
+                   f"got {value!r}\n")
+
+
+def test_tolerance_env_override(capsys, tmp_path, monkeypatch):
+    # The last sample is 1e-7 off the first, times closure_lambda = 1, at |c| = 1: refused at
+    # the default tolerance, 1e-9, and closed at 1e-6.
+    def nudge_last(data):
+        data["samples"][-1]["d"] = [1e-7, 0.0]
+
+    path = write_loop(tmp_path, "nudged.json", nudge_last)
+    monkeypatch.delenv("QMONO_TOL", raising=False)
+    for value in (None, ""):  # an empty value counts as unset
+        if value is not None:
+            monkeypatch.setenv("QMONO_TOL", value)
+        code, _, err = run(capsys, "classify", str(path))
+        assert (code, err) == (1, "error: NotClosed: closure residual 1e-07 at sample 256 "
+                                  "exceeds tolerance\n")
+    monkeypatch.setenv("QMONO_TOL", "1e-6")
+    code, out, _ = run(capsys, "classify", str(path), "--json")
+    assert (code, json.loads(out)["word"]) == (0, "a")
+
+
+@pytest.mark.parametrize("r", [10.0, 1e100, 1e160, 1e200, 1e250, 1e300])
+def test_classify_far_fiber_crossings(capsys, tmp_path, r):
+    # c = e1 and d on a circle about 1.2 r, which encloses neither puncture; from r = 1e200 on
+    # the crossings were once computed past the largest float and gave a^-1 b^-1.
+    circle = [1.2 * r + 0.3 * r * cmath.exp(1j * (math.pi / 2 + 2 * math.pi * j / 16))
+              for j in range(17)]
+    ds = [1j * r, (0.6 + 0.9j) * r, *circle, (0.6 + 0.9j) * r, 1j * r]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"n": 3, "closure_lambda": [1.0, 0.0], "samples": [
+        {"c": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "d": [d.real, d.imag]} for d in ds]}))
+    code, out, err = run(capsys, "classify", str(path), "--json")
+    assert (code, json.loads(out)["word"], err) == (0, "", "")
 
 
 @pytest.mark.parametrize("argv", [["--max-word-len", "-1"], ["--radius", "0"],

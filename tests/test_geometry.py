@@ -74,12 +74,38 @@ def test_zero_vector_rule(parts):
     c = np.array(parts)
     zero = not np.any(c)
     for build in (lambda: Hyperplane(c, 0), lambda: geometry.quad_form(c)):
-        with np.errstate(invalid="ignore", over="ignore"):
-            if zero:
-                with pytest.raises(ZeroCoefficientVector):
-                    build()
-            else:
+        if zero:
+            with pytest.raises(ZeroCoefficientVector):
                 build()
+        else:
+            try:
+                build()
+            except NonFiniteSample:
+                # quad_form refuses the q that a NaN or infinite part makes
+                assert not np.isfinite(c).all()
+
+
+@pytest.mark.parametrize("c", [[1e200, 0, 0], [0, math.inf, 0], [1, 0, math.nan],
+                               [complex(0, 1e155), 1, 0]])
+def test_quad_form_refuses_non_finite_q(c):
+    # With no numpy warning: tier-1 turns a RuntimeWarning into an error.
+    message = r"^q = sum c_i\^2 of sample 0 is not finite$"
+    with pytest.raises(NonFiniteSample, match=message) as info:
+        geometry.quad_form(c)
+    assert info.value.index == 0
+
+
+@pytest.mark.parametrize("c", [[[1, 0], [0, 1]], [], [[1, 0, 0]]])
+def test_hyperplane_needs_nonempty_vector(c):
+    message = "^coefficient vector must be a nonempty 1-d array$"
+    with pytest.raises(ZeroCoefficientVector, match=message):
+        Hyperplane(c, 0)
+
+
+def test_scaled_by_zero_refused():
+    for factor in (0, 0.0, 0j):
+        with pytest.raises(ZeroCoefficientVector, match="^scale factor must be nonzero$"):
+            Hyperplane([1, 0, 0], 1.0).scaled(factor)
 
 
 def test_scaled_underflow_to_zero_refused():

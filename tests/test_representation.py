@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmono import group, representation
-from qmono.errors import BadParameters
+from qmono.errors import BadParameters, DimensionTooSmall
 from qmono.group import ALPHA, BETA, KAPPA, GroupWord, IDENTITY
 from qmono.representation import (
     IDENTITY_MATRIX,
@@ -26,6 +26,12 @@ def test_parity_from_dimension():
     assert Parity.from_dimension(2) is EVEN
     assert Parity.from_dimension(3) is ODD
     assert Parity.from_dimension(6) is EVEN
+
+
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_parity_from_dimension_refuses_small(n):
+    with pytest.raises(DimensionTooSmall, match=f"ambient dimension must be >= 2, got {n}$"):
+        Parity.from_dimension(n)
 
 
 def test_generator_matrices_even():
