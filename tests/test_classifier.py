@@ -1016,6 +1016,17 @@ def test_branch_ambiguity_refused(tol, error, message):
     assert (type(info.value), info.value.index, str(info.value)) == (error, 63, message)
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "1", "inf", "abc"])
+def test_bad_tolerance_env_refused(monkeypatch, value):
+    # qmono classify hands the QMONO_TOL string to classify as tol, which refuses it there;
+    # the variable itself, read by no library call, leaves the default tolerance in place
+    monkeypatch.setenv("QMONO_TOL", value)
+    alpha = loops.make_alpha_loop(4)
+    with pytest.raises(BadTolerance, match=re.escape(f"got {value!r}")):
+        loops.classify(alpha, value)
+    assert loops.classify(alpha).word == word("a")
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1.0, math.inf])
 def test_bad_tolerance_argument_refused(tol):
     tangent = REJECTIONS["tangent"][0]()
