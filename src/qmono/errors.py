@@ -58,7 +58,8 @@ class AsymptoticSample(SampleError):
 
 
 class BranchAmbiguity(SampleError):
-    """The continued square-root branch matches neither expected endpoint."""
+    """The closing step of the square-root branch, from q_{m-1} to lambda^2 q_0, is too long
+    to tell whether the branch ends at +lambda s_0 or -lambda s_0."""
 
 
 class PunctureCollision(SampleError):

@@ -16,12 +16,15 @@ non-finite and zero-row tests) n sweeps over m-long columns.  `LoopSamples(c,
 d)` copies its inputs; `classify` reads the array in one pass.  With roots
 r_i = sqrt(q_i), s_i = eps_i r_i where eps_0 = 1 and eps_{i+1} = eps_i
 sign(Re(r_{i+1} conj(r_i))); the q-step check |q_{i+1} - q_i| < |q_i| keeps
-r_{i+1} / r_i within pi/4 of +-1, so the sign never ties.  A refusal names
-the first offending sample; the checks run in the order non-finite, general
-position, closure, q-step, branch endpoint, non-finite w, puncture collision,
-fiber step.  The first non-finite check is `geometry.incidence`'s, the one the
-scalar predicates and `Hyperplane.normalized` make at index 0; the second
-refuses, also as NonFiniteSample, a w = d / s past the largest float.
+r_{i+1} / r_i within pi/4 of +-1, so the sign never ties.  The loop closes
+with one more step, from q_{m-1} to lambda^2 q_0 with lambda the closure factor
+of the scaled samples, held to the same rule, and the kappa bit is set when
+Re(s_{m-1} conj(lambda s_0)) < 0.  A refusal names the first offending sample;
+the checks run in the order non-finite, general position, closure, q-step,
+closing q-step, non-finite w, puncture collision, fiber step.  The first
+non-finite check is `geometry.incidence`'s, the one the scalar predicates and
+`Hyperplane.normalized` make at index 0; the second refuses, also as
+NonFiniteSample, a w = d / s past the largest float.
 `kappa_bit` and `fiber_word` are the two parts of `classify`'s word, not passes
 of their own, so they refuse what it refuses, with the same error.
 
@@ -40,10 +43,12 @@ sum of two distances or crossing point overflows for any finite w.
 A loop fits its closure factor once: `HyperplaneLoop._closure_fit`, the
 _scale_fit of its last sample on its first (with closure_lambda validated when
 given), is computed on first use and kept, as the samples are read-only;
-`closure_scale` compares its residual with tol.  The first sample's _frame (its
-largest modulus, unit row and squared norm) is kept likewise, as
-`HyperplaneLoop._head_frame`, and a loop built by `concat` takes the first
-loop's, so each closure or junction fit is one inner product and one residual.
+`closure_scale` compares its residual with tol |lambda| |u| for the first row u,
+the rule `concat` applies to its junction, so that the reverse of a loop that
+closes closes too.  The first sample's _frame (its largest modulus, unit row and
+squared norm) is kept likewise, as `HyperplaneLoop._head_frame`, and a loop
+built by `concat` takes the first loop's, so each closure or junction fit is one
+inner product and one residual.
 `concat` and `reverse` build their result without the checks of the public
 constructor, whose shape and nonzero rows follow from the inputs: `concat`
 checks the junction and both closures, scales the second loop's rows quietly (a
@@ -74,10 +79,6 @@ from .errors import (AsymptoticSample, BadParameters, BranchAmbiguity, Dimension
 from .geometry import Hyperplane, default_tol, incidence
 from .group import FreeWord, GroupWord
 from .representation import MonodromyMatrix, Parity
-
-# Relative tolerance for matching the continued branch against the two
-# closure candidates +-lambda s_0, which are 2|s_0| apart.
-_BRANCH_MATCH_RTOL = 1e-6
 
 # The fiber stage holds its path at this scale only, which is exact: every length, distance to a
 # puncture, sum of two of them and crossing point then stays below the largest float.
@@ -259,42 +260,42 @@ def _frame(row: np.ndarray) -> _Frame:
 
 def _scale_fit(frame: _Frame, v: np.ndarray,
                mu: complex | None = None) -> Tuple[complex, float, float]:
-    """mu with v = mu u (least squares unless given), max |v - mu u| and |u|, for the row u
-    of frame.  A frame without a unit row gets a NaN residual, which every caller refuses."""
+    """mu with v = mu u (least squares unless given), max |v - mu u| and |mu| |u|, the size
+    that residual is measured against, for the row u of frame.  A frame without a unit row
+    gets a NaN residual, which every caller refuses."""
     u, top, unit, size2 = frame
     if unit is None:
         return complex("nan"), math.nan, top
     mu = complex(np.vdot(unit, v)) / size2 / top if mu is None else mu
-    return mu, float(np.abs(v - mu * u).max()), top * math.sqrt(size2)
+    return mu, float(np.abs(v - mu * u).max()), abs(mu) * top * math.sqrt(size2)
 
 
 def closure_scale(loop: HyperplaneLoop, tol: float | None = None) -> complex:
     """The scale factor lambda with last sample = lambda * first sample.
 
     Uses the explicit closure_lambda when present (validated), else the
-    least-squares fit; raises NotClosed when the residual exceeds tol.
+    least-squares fit; raises NotClosed when the residual exceeds tol times
+    |lambda| |first sample|, as concat's junction test does.
     """
     tol = default_tol(tol)
     lam, residual, size = loop._closure_fit
-    # Written so that a NaN residual fails the test.
-    if not residual <= tol * size:
+    # Written so that a NaN residual fails the test, and an infinite one fails it even where a
+    # given lambda makes the size overflow too.
+    if not residual <= tol * size or residual == math.inf:
         last = len(loop.samples) - 1
         raise NotClosed(last, f"closure residual {residual:.3g} at sample {last} exceeds tolerance")
     return lam
 
 
-def _branch_bit(lam: complex, branch: np.ndarray) -> int:
-    """0 if the branch ends at +lam s_0, 1 if at -lam s_0."""
-    end, target = complex(branch[-1]), lam * complex(branch[0])
-    same, flipped = abs(end - target), abs(end + target)
-    limit = _BRANCH_MATCH_RTOL * max(abs(target), 1e-300)
-    if same <= limit and same <= flipped:
-        return 0
-    if flipped <= limit:
-        return 1
-    raise BranchAmbiguity(
-        branch.size - 1, f"branch endpoint at sample {branch.size - 1} matches neither "
-        f"+-lambda s_0 (residuals {same:.3g}, {flipped:.3g})")
+def _branch_bit(lam: complex, q: np.ndarray, size: np.ndarray, branch: np.ndarray) -> int:
+    """0 if the branch ends nearer +lam s_0 than -lam s_0, else 1, once the closing step from
+    q_{m-1} to lam^2 q_0 passes the q-step rule of _sqrt_branch, given size = |q|."""
+    last, end = len(q) - 1, float(size[-1])
+    dq = abs(lam * lam * complex(q[0]) - complex(q[-1]))
+    # Written so that a NaN step fails the test.
+    if not dq < end:
+        raise BranchAmbiguity(last, f"closing step {dq / end:.3g} >= 1 at sample {last}")
+    return int((complex(branch[-1]) * (lam * complex(branch[0])).conjugate()).real < 0.0)
 
 
 def _fiber_letters(w: np.ndarray, tol: float) -> List[group.Letter]:
@@ -363,7 +364,7 @@ def classify(loop: HyperplaneLoop, tol: float | None = None) -> ClassificationRe
     # so the closure factor picks up the ratio of coefficient norms.
     lam = closure_scale(loop, tol) * float(inc.inv[-1] / inc.inv[0])
     branch, step = _sqrt_branch(inc.q, inc.size)
-    bit = _branch_bit(lam, branch)
+    bit = _branch_bit(lam, inc.q, inc.size, branch)
     # w = d / s overflows where |s| is small and |d| near the largest float.
     with np.errstate(over="ignore", invalid="ignore"):
         w = inc.d / branch
@@ -461,8 +462,7 @@ def concat(l1: HyperplaneLoop, l2: HyperplaneLoop,
         raise BadParameters("loops have different ambient dimensions")
     r1, r2 = l1.samples.rows, l2.samples.rows
     mu, residual, size = _scale_fit(l2._head_frame, r1[-1])
-    # |r1[-1]| = |mu| |r2[0]| up to the residual.
-    if mu == 0 or not residual <= tol * abs(mu) * size:
+    if not residual <= tol * size:
         raise BadParameters("loops do not share their junction hyperplane")
     # Before the rows are scaled, so that a loop with a non-finite last row
     # is refused as not closed rather than multiplied through.
@@ -500,9 +500,10 @@ def loop_to_dict(loop: HyperplaneLoop) -> dict:
 
 
 def loop_from_dict(data: dict) -> HyperplaneLoop:
-    """Inverse of loop_to_dict.  A document outside the format raises
-    MalformedLoopFile, whose message names the error found, such as
-    "KeyError: 'samples'"; a loop of the wrong shape raises what
+    """Inverse of loop_to_dict.  A document outside the format, such as an
+    n that is not an integer or a coordinate that is not a number (a bool
+    is not), raises MalformedLoopFile, whose message names the error found,
+    such as "KeyError: 'samples'"; a loop of the wrong shape raises what
     HyperplaneLoop raises, and non-finite numbers are left for classify
     to refuse."""
     try:
@@ -510,11 +511,16 @@ def loop_from_dict(data: dict) -> HyperplaneLoop:
         sizes = [len(s["c"]) for s in samples]
         # Each sample's coefficient pairs, then its offset pair.
         pairs = np.array([p for s in samples for p in (*s["c"], s["d"])] or np.zeros((0, 2)))
-        if pairs.dtype.kind not in "biuf" or pairs.shape[1:] != (2,):
+        if pairs.dtype.kind not in "iuf" or pairs.shape[1:] != (2,):
             raise ValueError("expected [re, im] pairs of numbers")
         lam = data.get("closure_lambda")
-        lam = None if lam is None else complex(lam[0], lam[1])
+        if lam is not None:  # complex() first, so that a shorter list is an IndexError
+            lam, pair = complex(lam[0], lam[1]), np.array(lam)
+            if pair.dtype.kind not in "iuf" or pair.shape != (2,):
+                raise ValueError("expected closure_lambda as an [re, im] pair of numbers")
         n = int(data["n"])
+        if n != data["n"]:
+            raise ValueError(f"expected n as an integer, got {data['n']!r}")
         _check_shape(n, len(sizes), sizes)
         rows = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1, n + 1)
         return HyperplaneLoop(n, LoopSamples._from_rows(rows), closure_lambda=lam)

@@ -269,6 +269,31 @@ def test_classify_reverse_inverts():
     assert loops.classify(loops.reverse(k)).word == word("k")
 
 
+@pytest.mark.parametrize("lam", [1e-3, 1e3])
+@pytest.mark.parametrize("eps", [0.0, 3e-10])
+def test_reverse_closes_when_loop_closes(lam, eps):
+    # The alpha loop with row i scaled by lam^(i/256), so that it closes with factor lam, and
+    # eps added to c[-1, 1], which is Hermitian-orthogonal to the first row.  A closure was once
+    # measured against the first row and a junction against the fitted one; at lam = 1e-3 and
+    # eps = 3e-10 the loop classified as a and its reverse was refused as NotClosed.
+    rows = np.array(loops.make_alpha_loop(4, m=256).samples.rows)
+    rows *= (lam ** (np.arange(257) / 256))[:, None]
+    rows[-1, 1] += eps
+    loop = HyperplaneLoop(4, loops.LoopSamples(rows[:, :-1], rows[:, -1]))
+
+    def outcome(build):
+        try:
+            return loops.classify(build()).word
+        except NotClosed:
+            return None
+
+    forward, backward = outcome(lambda: loop), outcome(lambda: loops.reverse(loop))
+    assert (forward is None) == (backward is None)
+    assert forward is None or backward == group.invert(forward)
+    # the closure residual, 3e-10 at |last row| = 1e-3, is past tol = 1e-9 of it
+    assert (forward is None) == (lam < 1.0 and eps > 0.0)
+
+
 def test_classify_concat_is_group_law():
     a = loops.make_alpha_loop(4, m=128)
     b = loops.make_beta_loop(4, m=128)
@@ -338,6 +363,10 @@ def test_concat_rejects_mismatched_junction():
     k3 = loops.make_kappa_loop(3)
     with pytest.raises(BadParameters):
         loops.concat(a, k3)
+    # a last row Hermitian-orthogonal to the next loop's first row fits the junction factor 0
+    e2 = HyperplaneLoop(4, loops.LoopSamples([[0, 1, 0, 0]] * 3, [0] * 3))
+    with pytest.raises(BadParameters, match="junction"):
+        loops.concat(e2, a)
 
 
 def test_loop_json_roundtrip(tmp_path):
@@ -723,12 +752,24 @@ def test_raw_non_finite_row_named_before_earlier_scaled_one():
         loops.classify(with_sample(loops.make_alpha_loop(4), 5, loop.samples[5]))
 
 
+# A well-formed document of 4 coordinates, for the malformed variants below.
+CONSTANT_DOCUMENT = loops.loop_to_dict(loops.make_constant_loop(4, m=2))
+
+
 @pytest.mark.parametrize("data, cause", [
     ({"n": 3}, "KeyError"),
     ([1, 2], "TypeError"),
     ({"n": "three", "samples": []}, "ValueError"),
     ({"n": 3, "samples": [], "closure_lambda": []}, "IndexError"),
     ({"n": 1e400, "samples": []}, "OverflowError"),
+    # n is read by int(), which once truncated 4.9 and parsed "4"
+    ({**CONSTANT_DOCUMENT, "n": 4.9}, "ValueError"),
+    ({**CONSTANT_DOCUMENT, "n": "4"}, "ValueError"),
+    # closure_lambda was once read from its first two entries, a bool as a number
+    ({**CONSTANT_DOCUMENT, "closure_lambda": [1, 0, 5]}, "ValueError"),
+    ({**CONSTANT_DOCUMENT, "closure_lambda": [True, False]}, "ValueError"),
+    ({"n": 3, "samples": [{"c": [[True, False], [False, False], [False, True]],
+                           "d": [False, False]}] * 2}, "ValueError"),
 ])
 def test_loop_from_dict_refuses_malformed_document(data, cause):
     with pytest.raises(MalformedLoopFile, match=f"^{cause}: "):
@@ -774,6 +815,18 @@ def test_concat_refuses_infinite_last_row_as_not_closed():
     bad = with_sample(a, last, Hyperplane(c, a.samples.d[last]))
     with pytest.raises(NotClosed, match=f"at sample {last} exceeds"):
         loops.concat(a, bad)
+
+
+def test_infinite_closure_residual_refused_at_overflowing_size():
+    # closure_lambda = 1e308 on the first row (1, 1, 1, 1 | 0) makes the size |lambda| |u| = 2e308
+    # overflow, and an infinite last entry makes the residual infinite too, without a warning;
+    # inf <= tol * inf holds, and the loop closes only if the residual is also finite
+    c = np.ones((3, 4), dtype=complex)
+    c[-1, 0] = math.inf
+    loop = HyperplaneLoop(4, loops.LoopSamples(c, np.zeros(3)), 1e308)
+    for call in (loops.closure_scale, loops.reverse):
+        with pytest.raises(NotClosed, match="^closure residual inf at sample 2 exceeds tolerance$"):
+            call(loop)
 
 
 def test_concat_scales_non_finite_middle_row_quietly():
@@ -845,7 +898,7 @@ def checked_concat(l1, l2):
     tol = geometry.default_tol()
     r1, r2 = l1.samples.rows, l2.samples.rows
     mu, residual, size = loops._scale_fit(loops._frame(r2[0]), r1[-1])
-    if mu == 0 or not residual <= tol * abs(mu) * size:
+    if mu == 0 or not residual <= tol * size:
         raise BadParameters("loops do not share their junction hyperplane")
     lam = 1.0
     for loop in (l1, l2):
@@ -995,7 +1048,7 @@ def test_branch_rejection_index():
     assert info.value.index == 2
 
 
-def branch_ambiguous_loop():
+def orthogonal_end_loop():
     """64 samples of c = (1, 0.5i, 0, 0) and d = 0.1, the last c moved by 1e-4 (0.5i, 1, 0, 0),
     which is Hermitian-orthogonal to c, so that the closure fit cannot absorb it."""
     c = np.tile([1.0, 0.5j, 0.0, 0.0], (64, 1))
@@ -1003,16 +1056,43 @@ def branch_ambiguous_loop():
     return HyperplaneLoop(4, loops.LoopSamples(c, np.full(64, 0.1)))
 
 
+@pytest.mark.parametrize("tol, outcome", [
+    (1e-3, ("", "0.000267")),
+    (1e-9, (NotClosed, 63, "closure residual 0.0001 at sample 63 exceeds tolerance")),
+])
+def test_branch_closes_within_tolerance(tol, outcome):
+    # At tol = 1e-3 the loop closes, and its branch ends 1.3e-4 in relative terms from
+    # +lambda s_0, a closing q-step of about 2.7e-4; it was once refused as BranchAmbiguity,
+    # by a match of the endpoint to +-lambda s_0 within 1e-6.  At 1e-9 it does not close.
+    try:
+        result = loops.classify(orthogonal_end_loop(), tol)
+    except QmonoError as exc:
+        assert (type(exc), exc.index, str(exc)) == outcome
+    else:
+        assert (str(result.word), f"{result.diagnostics.max_relative_step:.3g}") == outcome
+
+
+def half_turn_loop():
+    """64 samples of c = (1, 0.999i, 0, 0) + delta (0.999i, 1, 0, 0) and d = 10, where q = c.c
+    makes almost a half-turn about 0 from q_0 = 1 - 0.999^2, inside a closure tolerance of 5e-4:
+    delta moves along (0.999i, 1, 0, 0), which is Hermitian-orthogonal to c_0."""
+    t = np.arange(64) / 63
+    q0 = 1 - 0.999 ** 2
+    delta = q0 * (np.exp(1j * math.pi * 0.999 * t) - 1) / (4j * 0.999)
+    c = np.zeros((64, 4), dtype=complex)
+    c[:, 0], c[:, 1] = 1 + 0.999j * delta, 0.999j + delta
+    return HyperplaneLoop(4, loops.LoopSamples(c, np.full(64, 10.0)))
+
+
 @pytest.mark.parametrize("tol, error, message", [
-    (1e-3, BranchAmbiguity,
-     "branch endpoint at sample 63 matches neither +-lambda s_0 (residuals 0.000103, 1.55)"),
-    (1e-9, NotClosed, "closure residual 0.0001 at sample 63 exceeds tolerance"),
+    (5e-4, BranchAmbiguity, "closing step 2 >= 1 at sample 63"),
+    (1e-9, NotClosed, "closure residual 0.001 at sample 63 exceeds tolerance"),
 ])
 def test_branch_ambiguity_refused(tol, error, message):
-    # At tol = 1e-3 the loop closes, but its branch ends 1e-4 from +lambda s_0 in relative
-    # terms, past the branch match's 1e-6; at 1e-9 it does not close.
+    # At tol = 5e-4 the loop closes, but the closing step from q_63 to lambda^2 q_0 is a
+    # half-turn, past the q-step rule's limit of 1; at 1e-9 it does not close.
     with pytest.raises(error) as info:
-        loops.classify(branch_ambiguous_loop(), tol)
+        loops.classify(half_turn_loop(), tol)
     assert (type(info.value), info.value.index, str(info.value)) == (error, 63, message)
 
 
@@ -1038,11 +1118,11 @@ def test_bad_tolerance_argument_refused(tol):
 
 
 def test_library_ignores_tolerance_env(monkeypatch):
-    # QMONO_TOL is a setting of the command line only; at 1e-3 the branch-ambiguous loop
-    # would close and be refused as BranchAmbiguity, not NotClosed
+    # QMONO_TOL is a setting of the command line only; at 1e-3 the orthogonal-end loop
+    # would close and classify as the identity, not be refused as NotClosed
     h = Hyperplane([1.0, 0.5j, 0.0], 0.25)
     alpha, kappa = loops.make_alpha_loop(4), loops.make_kappa_loop(4)
-    calls = [lambda: exact_outcome(lambda: alpha), lambda: exact_outcome(branch_ambiguous_loop),
+    calls = [lambda: exact_outcome(lambda: alpha), lambda: exact_outcome(orthogonal_end_loop),
              lambda: geometry.default_tol(), lambda: geometry.discriminant_margin(h),
              lambda: (geometry.is_tangent(h), geometry.is_asymptotic(h),
                       geometry.in_general_position(h)),

@@ -1,7 +1,9 @@
 import cmath
 import contextlib
 import copy
+import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qmono import loops
+import qmono
+from qmono import loops, orbits
 from qmono.cli import main
 
 
@@ -118,6 +121,25 @@ def test_selftest(capsys):
     assert code == 0
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+
+
+def test_selftest_reports_failures(capsys, monkeypatch):
+    # An orbit claim that misses a point, and a classifier that answers b for every loop.
+    verify = orbits.verify_orbit_claim
+    monkeypatch.setattr(orbits, "verify_orbit_claim", lambda *args: dataclasses.replace(
+        verify(*args), missing=frozenset({(99, 99)})))
+    beta = loops.classify(loops.make_beta_loop(4))
+    monkeypatch.setattr(loops, "classify", lambda loop, tol=None: beta)
+    details = {"orbit-claim": "missing [(99, 99)], extraneous []",
+               "classifier-fixtures": "alpha at 256 samples gave 'b'"}
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert out.splitlines() == ["PASS relations", "PASS invariant-vector",
+                                *(f"FAIL {name}: {detail}" for name, detail in details.items())]
+    code, out, _ = run(capsys, "selftest", "--json")
+    document = json.loads(out)
+    assert (code, document["ok"]) == (1, False)
+    assert {c["name"]: c["detail"] for c in document["checks"] if not c["passed"]} == details
 
 
 def test_usage_errors_exit_2(capsys):
@@ -255,6 +277,18 @@ def test_group_commands_do_not_import_numpy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:3] == ["b k", "a b k", "b^-1 k"]
+
+
+@pytest.mark.parametrize("name", sorted(qmono._LAZY))
+def test_lazy_export_is_its_module_attribute(name):
+    # The subprocess above reaches two of these names; a stale entry would fail only on access.
+    module = importlib.import_module(f"qmono.{qmono._LAZY[name]}")
+    assert getattr(qmono, name) is getattr(module, name)
+
+
+def test_unknown_export_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'qmono' has no attribute 'no_such_name'$"):
+        qmono.no_such_name
 
 
 def alpha_document():

@@ -55,3 +55,32 @@ def test_no_runtime_warning_filters():
             if lenient:
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not found, found
+
+
+# A tolerance has one source: geometry.DEFAULT_TOL, which default_tol hands to every caller
+# that gives none.  A second module-level tolerance would be a second convention.
+ALLOWED_TOLERANCES = {("geometry.py", "DEFAULT_TOL")}
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda, ast.ListComp,
+          ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def module_level_names(tree):
+    """The names that a module binds outside its functions, classes and comprehensions."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        if not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_one_module_level_tolerance():
+    found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in module_level_names(ast.parse(path.read_text(), filename=str(path)))
+             if "TOL" in name and (path.name, name) not in ALLOWED_TOLERANCES]
+    assert SRC.is_dir() and not found, found
