@@ -54,7 +54,12 @@ constructor, whose shape and nonzero rows follow from the inputs: `concat`
 checks the junction and both closures, scales the second loop's rows quietly (a
 non-finite row is left for `classify` to refuse) and checks for zero only the
 rows it scaled, and only when the junction factor is below 1 in modulus, as only
-then can it underflow a row to zero; `reverse` checks the closure only.
+then can it underflow a row to zero.  `reverse` checks the closure and runs the
+rows backwards divided by its factor lambda, in one array operation, so that the
+reversed loop starts at the loop's own first row (up to the closure residual),
+closes with factor 1 / lambda, keeps the marking of the punctures by the
+principal root of q_0 and so has the inverse class; it scales and checks for zero
+as `concat` does, with 1 / lambda as the factor.
 
 Crossing conventions are fixed so that the model generator loops
 (counterclockwise around +1, counterclockwise around -1, and the
@@ -267,7 +272,11 @@ def _scale_fit(frame: _Frame, v: np.ndarray,
     if unit is None:
         return complex("nan"), math.nan, top
     mu = complex(np.vdot(unit, v)) / size2 / top if mu is None else mu
-    return mu, float(np.abs(v - mu * u).max()), abs(mu) * top * math.sqrt(size2)
+    # A given mu far off may make mu u overflow; the residual is then inf, which closure_scale
+    # refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.abs(v - mu * u).max())
+    return mu, residual, abs(mu) * top * math.sqrt(size2)
 
 
 def closure_scale(loop: HyperplaneLoop, tol: float | None = None) -> complex:
@@ -483,8 +492,17 @@ def concat(l1: HyperplaneLoop, l2: HyperplaneLoop,
 
 
 def reverse(loop: HyperplaneLoop, tol: float | None = None) -> HyperplaneLoop:
-    """Orientation reversal; inverts the class and the closure factor."""
-    return HyperplaneLoop._from_checked(loop.n, loop.samples[::-1], 1.0 / closure_scale(loop, tol))
+    """Orientation reversal: the rows run backwards divided by the closure factor lambda, so
+    that the result starts at the loop's own first row (up to the closure residual), closes
+    with factor 1 / lambda and has the inverse class."""
+    inv = 1.0 / closure_scale(loop, tol)
+    # An overflowing row is scaled quietly and left for classify to refuse.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.multiply(loop.samples.rows[::-1], inv, order="F")
+    # As in concat, only a factor below 1 in modulus can underflow a row to zero.
+    if abs(inv) < 1.0:
+        _refuse_zero_rows(rows[:, :-1])
+    return HyperplaneLoop._from_checked(loop.n, LoopSamples._from_rows(rows), inv)
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,50 @@ def test_reverse_closes_when_loop_closes(lam, eps):
     assert (forward is None) == (lam < 1.0 and eps > 0.0)
 
 
+def test_reverse_of_product_is_inverse_product():
+    # (a k)^-1 = k a^-1 = b^-1 k; reverse once started at the last row, -e1, and gave a^-1 k
+    alpha, kappa = loops.make_alpha_loop(4), loops.make_kappa_loop(4)
+    joined = loops.concat(alpha, kappa)
+    assert loops.classify(joined).word == word("a k")
+    assert loops.classify(loops.reverse(joined)).word == word("b^-1 k")
+
+
+def test_reversed_kappa_then_alphas():
+    # k a a a = b b b k: after k the punctures are swapped, and each alpha loop goes round the
+    # other one; the product once classified as a a a k
+    alpha, loop = loops.make_alpha_loop(4), loops.reverse(loops.make_kappa_loop(4))
+    for _ in range(3):
+        loop = loops.concat(loop, alpha)
+    assert loops.classify(loop).word == word("b b b k")
+
+
+def wide_range_loop(big, lam):
+    """The 64-sample alpha loop with row 20 times big and the last row times lam, so that it
+    closes with factor lam and its reverse divides row 20 (index 44 there) by lam."""
+    rows = np.array(loops.make_alpha_loop(4, m=64).samples.rows)
+    rows[20] *= big
+    rows[-1] *= lam
+    return HyperplaneLoop(4, loops.LoopSamples(rows[:, :-1], rows[:, -1]))
+
+
+def test_reverse_leaves_overflowing_row_to_classify():
+    # 1e300 / 1e-10 is past the largest float; reverse scales that row quietly and classify
+    # refuses it, both under the suite's RuntimeWarning-as-error filter
+    loop = wide_range_loop(1e300, 1e-10)
+    assert loops.classify(loop).word == word("a")
+    with pytest.raises(NonFiniteSample, match="^sample 44 ") as info:
+        loops.classify(loops.reverse(loop))
+    assert info.value.index == 44
+
+
+def test_reverse_refuses_row_scaled_to_zero():
+    # 1e-300 / 1e30 underflows to zero, which reverse refuses as concat does
+    loop = wide_range_loop(1e-300, 1e30)
+    assert loops.classify(loop).word == word("a")
+    with pytest.raises(ZeroCoefficientVector, match="^coefficient vector of sample 44 is zero$"):
+        loops.reverse(loop)
+
+
 def test_classify_concat_is_group_law():
     a = loops.make_alpha_loop(4, m=128)
     b = loops.make_beta_loop(4, m=128)
@@ -450,11 +494,8 @@ def generator_pieces(n, m):
                         ("k", loops.make_kappa_loop)):
         forward = maker(n, m=m)
         backward = loops.reverse(forward)
-        if backward.samples[0].c[0].real < 0:
-            # the reversed kappa loop starts at -e1; the same hyperplanes
-            # scaled by -1 start at e1
-            backward = HyperplaneLoop(n, tuple(h.scaled(-1) for h in backward.samples),
-                                      backward.closure_lambda)
+        # reverse starts at the loop's own first row, so every piece starts at c = e1, d = 0
+        assert np.abs(backward.samples.rows[0] - np.eye(n + 1)[0]).max() <= 1e-15, name
         pieces[name], pieces[name + "^-1"] = forward, backward
     return pieces
 
@@ -639,6 +680,31 @@ def test_classify_is_layout_independent(n, letters, scale, noise, seed):
     assert len(outcomes) == 1
     outcome = outcomes.pop()
     event(outcome[0].__name__ if isinstance(outcome[0], type) else "classified")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 5),
+       letters=st.lists(st.sampled_from(["a", "b", "k", "a^-1", "b^-1", "k^-1"]), min_size=1,
+                        max_size=5),
+       scaled=st.booleans(), sign=st.sampled_from([1, -1]), phase=st.floats(-1.52, 1.52),
+       power=st.integers(-60, 60))
+def test_reverse_is_equivariant(n, letters, scaled, sign, phase, power):
+    # reverse gives the inverse class, and reversing twice gives the class back, for composites
+    # of the pieces and their reverses, times a nonzero scalar when scaled.  The pieces start at
+    # e1, so q_0 is the scalar's square, here at least 0.1 rad from the negative real axis, the
+    # branch cut of the principal root of q_0 that marks the punctures.
+    rows, closure_lambda = composite_rows(n, letters, 0.0, 0)
+    if scaled:
+        rows *= sign * cmath.rect(2.0 ** power, phase)
+    loop = HyperplaneLoop(n, loops.LoopSamples(rows[:, :-1], rows[:, -1]), closure_lambda)
+    try:
+        forward = loops.classify(loop).word
+    except QmonoError as exc:
+        event(type(exc).__name__)
+        return
+    event("classified")
+    assert loops.classify(loops.reverse(loop)).word == group.invert(forward)
+    assert loops.classify(loops.reverse(loops.reverse(loop))).word == forward
 
 
 def test_makers_refuse_small_dimension():
@@ -827,6 +893,12 @@ def test_infinite_closure_residual_refused_at_overflowing_size():
     for call in (loops.closure_scale, loops.reverse):
         with pytest.raises(NotClosed, match="^closure residual inf at sample 2 exceeds tolerance$"):
             call(loop)
+    # lambda u itself past the largest float, 1e300 times rows at 1e200: refused the same way,
+    # under the suite's RuntimeWarning-as-error filter, with no overflow warning
+    far = scaled_loop(loops.make_alpha_loop(4, m=64), 1e200, 1e300)
+    for call in (loops.closure_scale, loops.reverse, loops.classify):
+        with pytest.raises(NotClosed, match="^closure residual inf at sample 64 exceeds tolerance$"):
+            call(far)
 
 
 def test_concat_scales_non_finite_middle_row_quietly():
