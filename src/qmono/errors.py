@@ -1,7 +1,11 @@
 """Exception types shared across the package.
 
 Every domain error derives from :class:`QmonoError` so the CLI can map
-them uniformly to exit status 1.
+them uniformly to exit status 1.  The refusals of one sample derive from
+:class:`SampleError` and carry it in ``index``: ZeroCoefficientVector,
+NonFiniteSample, UndersampledLoop, AsymptoticSample, BranchAmbiguity,
+PunctureCollision, NotClosed and NotGeneralPosition.  A lone hyperplane
+or coefficient vector is sample 0.
 """
 
 
@@ -25,10 +29,6 @@ class OddParityClaim(QmonoError):
     """The lattice orbit claim is stated for even ambient dimension only."""
 
 
-class ZeroCoefficientVector(QmonoError):
-    """A hyperplane needs a nonzero coefficient vector."""
-
-
 class SampleError(QmonoError):
     """A loop rejected at a sample; ``index`` is the first offending one."""
 
@@ -43,6 +43,10 @@ class SampleError(QmonoError):
         if bad.any():
             i = int(bad.argmax())
             raise cls(i, message.format(i=i, v=None if values is None else values[i]))
+
+
+class ZeroCoefficientVector(SampleError):
+    """A hyperplane needs a nonzero coefficient vector; ``index`` is 0 for a lone one."""
 
 
 class NonFiniteSample(SampleError):

@@ -12,10 +12,12 @@ scalar predicates and `Hyperplane.normalized` at index 0, go through it.
 `quad_form`, which works at the scale of c, refuses a q that is not finite
 likewise, as NonFiniteSample(0).
 
-A coefficient vector is zero, and refused as ZeroCoefficientVector, when
-every real and imaginary part is +0.0 or -0.0; a NaN or a subnormal part
-makes it nonzero.  The test is one np.count_nonzero call, and the
-reductions are ndarray methods, not numpy's module-level wrappers.
+A coefficient vector is zero, and refused as ZeroCoefficientVector (at
+index 0 for a lone vector), when every real and imaginary part is +0.0 or
+-0.0; a NaN or a subnormal part makes it nonzero.  For a lone vector the
+test is one np.count_nonzero call; a loop tests its rows with one
+c.any(axis=1).  The reductions are ndarray methods, not numpy's
+module-level wrappers.
 
 A tolerance comes from the caller alone: `default_tol` gives DEFAULT_TOL
 for None and checks any other value; no function reads the environment.
@@ -89,9 +91,9 @@ class Hyperplane:
     def __init__(self, c, d):
         c = np.asarray(c, dtype=complex)
         if c.ndim != 1 or c.size == 0:
-            raise ZeroCoefficientVector("coefficient vector must be a nonempty 1-d array")
+            raise ZeroCoefficientVector(0, "coefficient vector must be a nonempty 1-d array")
         if not np.count_nonzero(c):
-            raise ZeroCoefficientVector("coefficient vector is zero")
+            raise ZeroCoefficientVector(0, "coefficient vector is zero")
         self.c = c
         self.d = complex(d)
 
@@ -101,7 +103,7 @@ class Hyperplane:
 
     def scaled(self, factor: complex) -> "Hyperplane":
         if factor == 0:
-            raise ZeroCoefficientVector("scale factor must be nonzero")
+            raise ZeroCoefficientVector(0, "scale factor must be nonzero")
         return Hyperplane(self.c * factor, self.d * factor)
 
     def normalized(self) -> "Hyperplane":
@@ -119,7 +121,7 @@ def quad_form(c) -> complex:
     finite, as when a part of c is near 1e155 or more, is refused as NonFiniteSample(0)."""
     c = np.asarray(c, dtype=complex)
     if not np.count_nonzero(c):
-        raise ZeroCoefficientVector("coefficient vector is zero")
+        raise ZeroCoefficientVector(0, "coefficient vector is zero")
     with np.errstate(over="ignore", invalid="ignore"):
         q = complex((c * c).sum())
     if not cmath.isfinite(q):

@@ -49,17 +49,19 @@ closes closes too.  The first sample's _frame (its largest modulus, unit row and
 squared norm) is kept likewise, as `HyperplaneLoop._head_frame`, and a loop
 built by `concat` takes the first loop's, so each closure or junction fit is one
 inner product and one residual.
-`concat` and `reverse` build their result without the checks of the public
-constructor, whose shape and nonzero rows follow from the inputs: `concat`
-checks the junction and both closures, scales the second loop's rows quietly (a
-non-finite row is left for `classify` to refuse) and checks for zero only the
-rows it scaled, and only when the junction factor is below 1 in modulus, as only
-then can it underflow a row to zero.  `reverse` checks the closure and runs the
-rows backwards divided by its factor lambda, in one array operation, so that the
-reversed loop starts at the loop's own first row (up to the closure residual),
-closes with factor 1 / lambda, keeps the marking of the punctures by the
-principal root of q_0 and so has the inverse class; it scales and checks for zero
-as `concat` does, with 1 / lambda as the factor.
+
+`concat` and `reverse` make their checks and then build through one function,
+`_derived_loop(head, tail, factor, closure_lambda, head_frame)`: the rows head,
+then factor times the rows tail, in one column-major array.  The rows come from
+loops already checked, so it skips the public constructor; it scales quietly (a
+non-finite row is left for `classify` to refuse) and checks for zero rows only
+when |factor| < 1, the only case where a row can underflow to zero.  `concat`
+checks the junction and both closures and appends the second loop's rows after
+its first, times the junction factor, keeping the first loop's head frame.
+`reverse` checks the closure and appends the rows backwards to no head, times
+1 / lambda, so that the reversed loop starts at the loop's own first row (up to
+the closure residual), closes with factor 1 / lambda, keeps the marking of the
+punctures by the principal root of q_0 and so has the inverse class.
 
 Crossing conventions are fixed so that the model generator loops
 (counterclockwise around +1, counterclockwise around -1, and the
@@ -73,6 +75,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,8 +139,8 @@ def _check_shape(n: int, m: int, sizes: Sequence[int]) -> None:
         raise BadParameters("a loop needs at least two samples")
     for i, k in enumerate(sizes):
         if k != n:
-            error = ZeroCoefficientVector if k == 0 else BadParameters
-            raise error(f"sample {i} has dimension {k}, expected {n}")
+            message = f"sample {i} has dimension {k}, expected {n}"
+            raise ZeroCoefficientVector(i, message) if k == 0 else BadParameters(message)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,22 +161,11 @@ class HyperplaneLoop:
         _check_shape(self.n, len(self.samples), self.samples.c.shape[1:])
         _refuse_zero_rows(self.samples.c)
 
-    @classmethod
-    def _from_checked(cls, n: int, samples: "LoopSamples",
-                      closure_lambda: Optional[complex]) -> "HyperplaneLoop":
-        """A HyperplaneLoop without the checks of __post_init__, for samples whose
-        shape and nonzero rows the caller has already checked."""
-        loop = object.__new__(cls)
-        object.__setattr__(loop, "n", n)
-        object.__setattr__(loop, "samples", samples)
-        object.__setattr__(loop, "closure_lambda", closure_lambda)
-        return loop
-
     @cached_property
     def _head_frame(self) -> "_Frame":
         """_frame of the first sample, computed on first use and kept, as the samples are
         read-only.  A loop built by concat starts with the first loop's row, and takes its
-        frame."""
+        frame from _derived_loop."""
         return _frame(self.samples.rows[0])
 
     @cached_property
@@ -189,12 +181,9 @@ class HyperplaneLoop:
                           None if lam is None else complex(lam))
 
 
-def _refuse_zero_rows(c: np.ndarray, first: int = 0) -> None:
-    """Refuse the first row of c that is zero, as sample first + its row index."""
-    nonzero = c.any(axis=1)
-    if not nonzero.all():
-        i = first + int(np.argmin(nonzero))
-        raise ZeroCoefficientVector(f"coefficient vector of sample {i} is zero")
+def _refuse_zero_rows(c: np.ndarray) -> None:
+    """Refuse the first row of c that is zero, as the sample of its row index."""
+    ZeroCoefficientVector.refuse(~c.any(axis=1), "coefficient vector of sample {i} is zero")
 
 
 @dataclass(frozen=True)
@@ -463,32 +452,44 @@ def make_constant_loop(n: int, m: int = 64) -> HyperplaneLoop:
     return _pencil_loop(n, 1.0, 0.0, np.zeros(m + 1), 1.0)
 
 
+def _derived_loop(head: np.ndarray, tail: np.ndarray, factor: complex, closure_lambda: complex,
+                  head_frame: Optional[_Frame] = None) -> HyperplaneLoop:
+    """The loop of the rows head, then factor times the rows tail, closing with closure_lambda
+    and, when given, with head_frame as its _head_frame.  Both sets of rows come from loops
+    that were checked when built, so it skips the public constructor: a non-finite row is
+    scaled quietly and left for classify to refuse, and the rows are checked for zero only
+    when |factor| < 1, as a larger factor keeps a nonzero entry nonzero even in the subnormal
+    range."""
+    rows = np.empty((len(head) + len(tail), head.shape[1]), dtype=complex, order="F")
+    rows[:len(head)] = head
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(factor, tail, out=rows[len(head):])
+    if abs(factor) < 1.0:
+        _refuse_zero_rows(rows[:, :-1])
+    loop = object.__new__(HyperplaneLoop)
+    # The fields of a frozen dataclass live in the instance dict, which a cached_property
+    # reads first.
+    loop.__dict__.update(n=head.shape[1] - 1, samples=LoopSamples._from_rows(rows),
+                         closure_lambda=closure_lambda)
+    if head_frame is not None:
+        loop.__dict__["_head_frame"] = head_frame
+    return loop
+
+
 def concat(l1: HyperplaneLoop, l2: HyperplaneLoop,
            tol: float | None = None) -> HyperplaneLoop:
     """Concatenate loops sharing the base hyperplane up to scale."""
     tol = default_tol(tol)
     if l1.n != l2.n:
         raise BadParameters("loops have different ambient dimensions")
-    r1, r2 = l1.samples.rows, l2.samples.rows
+    r1 = l1.samples.rows
     mu, residual, size = _scale_fit(l2._head_frame, r1[-1])
     if not residual <= tol * size:
         raise BadParameters("loops do not share their junction hyperplane")
     # Before the rows are scaled, so that a loop with a non-finite last row
     # is refused as not closed rather than multiplied through.
     lam = closure_scale(l1, tol) * closure_scale(l2, tol)
-    rows = np.empty((len(r1) + len(r2) - 1, l1.n + 1), dtype=complex, order="F")
-    rows[:len(r1)], tail = r1, rows[len(r1):]
-    # A non-finite row of l2 is scaled quietly and left for classify to refuse.
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(mu, r2[1:], out=tail)
-    # The rows were checked when l1 and l2 were built.  Scaled by |mu| >= 1, a nonzero entry
-    # stays nonzero even in the subnormal range; a smaller mu may underflow a row to zero.
-    if abs(mu) < 1.0:
-        _refuse_zero_rows(tail[:, :-1], len(r1))
-    joined = HyperplaneLoop._from_checked(l1.n, LoopSamples._from_rows(rows), lam)
-    # Its first row is l1's; a cached_property reads the instance dict first.
-    joined.__dict__["_head_frame"] = l1._head_frame
-    return joined
+    return _derived_loop(r1, l2.samples.rows[1:], mu, lam, l1._head_frame)
 
 
 def reverse(loop: HyperplaneLoop, tol: float | None = None) -> HyperplaneLoop:
@@ -496,13 +497,8 @@ def reverse(loop: HyperplaneLoop, tol: float | None = None) -> HyperplaneLoop:
     that the result starts at the loop's own first row (up to the closure residual), closes
     with factor 1 / lambda and has the inverse class."""
     inv = 1.0 / closure_scale(loop, tol)
-    # An overflowing row is scaled quietly and left for classify to refuse.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.multiply(loop.samples.rows[::-1], inv, order="F")
-    # As in concat, only a factor below 1 in modulus can underflow a row to zero.
-    if abs(inv) < 1.0:
-        _refuse_zero_rows(rows[:, :-1])
-    return HyperplaneLoop._from_checked(loop.n, LoopSamples._from_rows(rows), inv)
+    rows = loop.samples.rows
+    return _derived_loop(rows[:0], rows[::-1], inv, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +513,16 @@ def loop_to_dict(loop: HyperplaneLoop) -> dict:
     return data
 
 
+def _number_pairs(items: list, what: str) -> np.ndarray:
+    """items as a (k, 2) array; anything but [re, im] pairs of numbers raises ValueError, a bool
+    too, which np.array would read as 0 or 1 among numbers."""
+    pairs = np.array(items or np.zeros((0, 2)))
+    if (pairs.dtype.kind not in "iuf" or pairs.shape[1:] != (2,)
+            or bool in set(map(type, chain.from_iterable(items)))):
+        raise ValueError(f"expected {what} of numbers")
+    return pairs
+
+
 def loop_from_dict(data: dict) -> HyperplaneLoop:
     """Inverse of loop_to_dict.  A document outside the format, such as an
     n that is not an integer or a coordinate that is not a number (a bool
@@ -528,16 +534,13 @@ def loop_from_dict(data: dict) -> HyperplaneLoop:
         samples = data["samples"]
         sizes = [len(s["c"]) for s in samples]
         # Each sample's coefficient pairs, then its offset pair.
-        pairs = np.array([p for s in samples for p in (*s["c"], s["d"])] or np.zeros((0, 2)))
-        if pairs.dtype.kind not in "iuf" or pairs.shape[1:] != (2,):
-            raise ValueError("expected [re, im] pairs of numbers")
+        pairs = _number_pairs([p for s in samples for p in (*s["c"], s["d"])], "[re, im] pairs")
         lam = data.get("closure_lambda")
         if lam is not None:  # complex() first, so that a shorter list is an IndexError
-            lam, pair = complex(lam[0], lam[1]), np.array(lam)
-            if pair.dtype.kind not in "iuf" or pair.shape != (2,):
-                raise ValueError("expected closure_lambda as an [re, im] pair of numbers")
+            lam, _ = (complex(lam[0], lam[1]),
+                      _number_pairs([lam], "closure_lambda as an [re, im] pair"))
         n = int(data["n"])
-        if n != data["n"]:
+        if n != data["n"] or isinstance(data["n"], bool):
             raise ValueError(f"expected n as an integer, got {data['n']!r}")
         _check_shape(n, len(sizes), sizes)
         rows = np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1, n + 1)

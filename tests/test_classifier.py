@@ -334,8 +334,10 @@ def test_reverse_refuses_row_scaled_to_zero():
     # 1e-300 / 1e30 underflows to zero, which reverse refuses as concat does
     loop = wide_range_loop(1e-300, 1e30)
     assert loops.classify(loop).word == word("a")
-    with pytest.raises(ZeroCoefficientVector, match="^coefficient vector of sample 44 is zero$"):
+    message = "^coefficient vector of sample 44 is zero$"
+    with pytest.raises(ZeroCoefficientVector, match=message) as info:
         loops.reverse(loop)
+    assert info.value.index == 44
 
 
 def test_classify_concat_is_group_law():
@@ -597,8 +599,9 @@ def test_loop_shape_refused():
     with pytest.raises(BadParameters):
         loops.LoopSamples(c[0], np.zeros(1))
     c[2] = 0
-    with pytest.raises(ZeroCoefficientVector, match="sample 2"):
+    with pytest.raises(ZeroCoefficientVector, match="sample 2") as info:
         HyperplaneLoop(3, loops.LoopSamples(c, np.zeros(4)))
+    assert info.value.index == 2
 
 
 def assert_one_column_major_array(samples, n):
@@ -822,6 +825,13 @@ def test_raw_non_finite_row_named_before_earlier_scaled_one():
 CONSTANT_DOCUMENT = loops.loop_to_dict(loops.make_constant_loop(4, m=2))
 
 
+def sample_with(i, **entries):
+    """CONSTANT_DOCUMENT with the entries of sample i replaced."""
+    samples = [dict(s) for s in CONSTANT_DOCUMENT["samples"]]
+    samples[i].update(entries)
+    return {**CONSTANT_DOCUMENT, "samples": samples}
+
+
 @pytest.mark.parametrize("data, cause", [
     ({"n": 3}, "KeyError"),
     ([1, 2], "TypeError"),
@@ -836,10 +846,23 @@ CONSTANT_DOCUMENT = loops.loop_to_dict(loops.make_constant_loop(4, m=2))
     ({**CONSTANT_DOCUMENT, "closure_lambda": [True, False]}, "ValueError"),
     ({"n": 3, "samples": [{"c": [[True, False], [False, False], [False, True]],
                            "d": [False, False]}] * 2}, "ValueError"),
+    # a bool among numbers was once read as 0 or 1, and n = true as 1
+    (sample_with(1, c=[[True, 0], [0, 0], [0, 0], [0, 0]]), "ValueError"),
+    (sample_with(0, d=[False, False]), "ValueError"),
+    ({**CONSTANT_DOCUMENT, "closure_lambda": [1, True]}, "ValueError"),
+    ({**CONSTANT_DOCUMENT, "n": True}, "ValueError"),
 ])
 def test_loop_from_dict_refuses_malformed_document(data, cause):
     with pytest.raises(MalformedLoopFile, match=f"^{cause}: "):
         loops.loop_from_dict(data)
+
+
+def test_empty_coefficient_vector_refused_at_its_sample():
+    data = loops.loop_to_dict(loops.make_alpha_loop(4, m=64))
+    data["samples"][5]["c"] = []
+    with pytest.raises(ZeroCoefficientVector, match="^sample 5 has dimension 0, expected 4$") as info:
+        loops.loop_from_dict(data)
+    assert info.value.index == 5
 
 
 @pytest.mark.parametrize("lam", [[1e400, 0], [math.nan, 0], [0, -1e400]])
@@ -923,8 +946,10 @@ def test_concat_refuses_row_scaled_to_zero():
     rows[20] = a.samples.rows[20] * 1e-30
     big = HyperplaneLoop(4, loops.LoopSamples(rows[:, :4], rows[:, 4]), a.closure_lambda)
     index = len(a.samples) + 19
-    with pytest.raises(ZeroCoefficientVector, match=f"^coefficient vector of sample {index} is zero$"):
+    message = f"^coefficient vector of sample {index} is zero$"
+    with pytest.raises(ZeroCoefficientVector, match=message) as info:
         loops.concat(a, big)
+    assert info.value.index == index
 
 
 def test_closure_fits_once_per_loop(monkeypatch):

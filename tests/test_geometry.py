@@ -52,10 +52,11 @@ def test_quad_form_examples():
 
 
 def test_quad_form_rejects_zero():
-    with pytest.raises(ZeroCoefficientVector):
-        geometry.quad_form([0, 0])
-    with pytest.raises(ZeroCoefficientVector):
-        Hyperplane([0, 0, 0], 1.0)
+    # a lone vector is refused as sample 0, as the scalar predicates refuse it
+    for build in (lambda: geometry.quad_form([0, 0]), lambda: Hyperplane([0, 0, 0], 1.0)):
+        with pytest.raises(ZeroCoefficientVector, match="^coefficient vector is zero$") as info:
+            build()
+        assert info.value.index == 0
 
 
 # Parts that sit on either side of the zero test: signed zeros, the smallest
@@ -98,19 +99,22 @@ def test_quad_form_refuses_non_finite_q(c):
 @pytest.mark.parametrize("c", [[[1, 0], [0, 1]], [], [[1, 0, 0]]])
 def test_hyperplane_needs_nonempty_vector(c):
     message = "^coefficient vector must be a nonempty 1-d array$"
-    with pytest.raises(ZeroCoefficientVector, match=message):
+    with pytest.raises(ZeroCoefficientVector, match=message) as info:
         Hyperplane(c, 0)
+    assert info.value.index == 0
 
 
 def test_scaled_by_zero_refused():
     for factor in (0, 0.0, 0j):
-        with pytest.raises(ZeroCoefficientVector, match="^scale factor must be nonzero$"):
+        with pytest.raises(ZeroCoefficientVector, match="^scale factor must be nonzero$") as info:
             Hyperplane([1, 0, 0], 1.0).scaled(factor)
+        assert info.value.index == 0
 
 
 def test_scaled_underflow_to_zero_refused():
-    with pytest.raises(ZeroCoefficientVector, match="coefficient vector is zero"):
+    with pytest.raises(ZeroCoefficientVector, match="coefficient vector is zero") as info:
         Hyperplane([1e-200, 0, 0], 0).scaled(1e-200)
+    assert info.value.index == 0
 
 
 def test_tangency_examples():

@@ -84,3 +84,29 @@ def test_one_module_level_tolerance():
              for name in module_level_names(ast.parse(path.read_text(), filename=str(path)))
              if "TOL" in name and (path.name, name) not in ALLOWED_TOLERANCES]
     assert SRC.is_dir() and not found, found
+
+
+def builds_without_constructor(function):
+    """True if the function calls object.__new__ or writes into an instance __dict__, by
+    item assignment or by a method call such as update."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target = node.func.value
+            if node.func.attr == "__new__" and isinstance(target, ast.Name) and target.id == "object":
+                return True
+            if isinstance(target, ast.Attribute) and target.attr == "__dict__":
+                return True
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "__dict__"):
+            return True
+    return False
+
+
+def test_one_function_builds_a_loop_without_its_constructor():
+    # A loop built past HyperplaneLoop's checks is built in one place, so that what such a
+    # loop must carry (its fields, its head frame) is set once.
+    path = SRC / "loops.py"
+    found = [node.name for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and builds_without_constructor(node)]
+    assert len(found) <= 1, found
