@@ -16,7 +16,6 @@ from .representation import (
     MonodromyMatrix,
     Parity,
     apply,
-    determinant_character,
     generator_matrix,
     invariant_line,
     matrix_of,

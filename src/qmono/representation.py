@@ -126,10 +126,6 @@ def invariant_line(parity: Parity) -> LatticePoint:
     return (1, 1)
 
 
-def determinant_character(g: GroupWord, parity: Parity) -> int:
-    return matrix_of(g, parity).det()
-
-
 def quotient_character(g: GroupWord, parity: Parity) -> int:
     """Scalar action on the quotient lattice Z^2 / <a + b>.
 

@@ -16,6 +16,10 @@ from .group import ALPHA, BETA, KAPPA, GroupWord
 from .representation import Parity
 
 _SEED = 20240824
+# The sizes of the checks: random words per parity, the orbit claim's box radius and word
+# length, and the dimension n and sample count m of each pass over the fixtures.
+_WORD_COUNT, _BOX_RADIUS, _MAX_WORD_LEN = 1000, 8, 12
+_FIXTURE_SIZES = ((4, 256), (4, 512))
 
 
 @dataclass(frozen=True)
@@ -47,11 +51,11 @@ def check_relations() -> CheckResult:
     return CheckResult("relations", ok)
 
 
-def check_invariant_vector(count: int = 1000) -> CheckResult:
+def check_invariant_vector() -> CheckResult:
     rng = random.Random(_SEED)
     for parity in Parity:
         fixed = representation.invariant_line(parity)
-        for _ in range(count):
+        for _ in range(_WORD_COUNT):
             g = random_word(rng)
             if representation.apply(g, fixed, parity) != fixed:
                 return CheckResult("invariant-vector", False,
@@ -59,16 +63,16 @@ def check_invariant_vector(count: int = 1000) -> CheckResult:
     return CheckResult("invariant-vector", True)
 
 
-def check_orbit_claim(box_radius: int = 8, max_word_len: int = 12) -> CheckResult:
-    report = orbits.verify_orbit_claim(box_radius, max_word_len, Parity.EVEN)
+def check_orbit_claim() -> CheckResult:
+    report = orbits.verify_orbit_claim(_BOX_RADIUS, _MAX_WORD_LEN, Parity.EVEN)
     ok = report.ok()
     detail = "" if ok else (f"missing {sorted(report.missing)}, "
                             f"extraneous {sorted(report.extraneous)}")
     return CheckResult("orbit-claim", ok, detail)
 
 
-def check_fixtures(n: int = 4, samples: int = 256) -> CheckResult:
-    for m in (samples, 2 * samples):
+def check_fixtures() -> CheckResult:
+    for n, m in _FIXTURE_SIZES:
         alpha, kappa = loops.make_alpha_loop(n, m=m), loops.make_kappa_loop(n, m=m)
         expected = {  # name -> (loop, its word as format_word spells it)
             "alpha": (alpha, "a"),

@@ -8,13 +8,14 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 import qmono
@@ -484,6 +485,27 @@ def test_golden_output(capsys, tmp_path, monkeypatch):
             assert run(capsys, *shlex.split(cmdline), *mode) == (1, "", err), cmdline
 
 
+def test_readme_command_block(capsys, tmp_path, monkeypatch):
+    # The qmono lines of the README's command block, run in order in one directory, so that
+    # make-loop writes the file that classify reads: each exits 0, each "# -> X" is a line of
+    # its output, and each "# matrix M, det D" is the matrix and det that --json gives.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^```sh\n(qmono .*?)^```", readme, flags=re.M | re.S)[1]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QMONO_TOL", raising=False)
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), line
+        comment = comment.strip()
+        if comment.startswith("-> "):
+            assert comment[3:] in out.splitlines(), line
+        if rep := re.fullmatch(r"matrix (.*), det (\S+)", comment):
+            document = json.loads(run(capsys, *argv, "--json")[1])
+            assert [document["matrix"], document["det"]] == [json.loads(rep[1]), int(rep[2])], line
+
+
 # --- fuzz: every loop file gives a word or a named error ----------------
 
 json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
@@ -546,16 +568,11 @@ def classify_document(tmp_path_factory, data):
     event(err.getvalue().split(":")[1] if code else "classified")
 
 
-FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
-
-
-@FUZZ
 @given(data=json_values | loop_like)
 def test_classify_fuzz_arbitrary_json(tmp_path_factory, data):
     classify_document(tmp_path_factory, data)
 
 
-@FUZZ
 @given(data=mutated_documents())
 def test_classify_fuzz_mutated_loop_file(tmp_path_factory, data):
     classify_document(tmp_path_factory, data)

@@ -14,6 +14,7 @@ from scipy.linalg import null_space
 from qmono import geometry
 from qmono.errors import NonFiniteSample, ZeroCoefficientVector
 from qmono.geometry import Hyperplane
+from strategies import outcome
 
 
 def random_vector(rng, n):
@@ -67,7 +68,7 @@ zero_test_vectors = st.lists(st.builds(complex, zero_test_parts, zero_test_parts
                              min_size=1, max_size=5)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(zero_test_vectors)
 def test_zero_vector_rule(parts):
     # The rule is np.any's: a part counts as nonzero iff it is not +-0.0, so a NaN
@@ -316,18 +317,10 @@ def whole_array_unit_scaled(c):
     return (u * u).sum(axis=1) / size2, inv_top[..., 0] / np.sqrt(size2)
 
 
-def incidence_outcome(call):
-    """The Incidence that call returns, or its refusal's class, index and message."""
-    try:
-        return call()
-    except NonFiniteSample as exc:
-        return type(exc), exc.index, str(exc)
-
-
 def oracle_outcome(monkeypatch, call):
     with monkeypatch.context() as patch:
         patch.setattr(geometry, "_unit_scaled", whole_array_unit_scaled)
-        return incidence_outcome(call)
+        return outcome(call)
 
 
 def assert_same_outcome(got, want, row=slice(None)):
@@ -382,7 +375,7 @@ def test_incidence_matches_whole_array_oracle(monkeypatch, n):
                 bad.append(rows)
             for rows in (whole, tail, *bad):
                 c, d = rows[:, :n], rows[:, n]
-                assert_same_outcome(incidence_outcome(lambda: geometry.incidence(c, d)),
+                assert_same_outcome(outcome(lambda: geometry.incidence(c, d)),
                                     oracle_outcome(monkeypatch, lambda: geometry.incidence(c, d)))
 
 
@@ -399,12 +392,12 @@ def test_one_row_incidence_matches_its_row_in_a_loop(monkeypatch, n):
         want = oracle_outcome(monkeypatch, lambda: geometry.incidence(rows[:, :n], rows[:, n]))
         for i in range(len(rows)):
             h = Hyperplane(rows[i, :n], rows[i, n])
-            assert_same_outcome(incidence_outcome(lambda: geometry._incidence_of(h, None)),
+            assert_same_outcome(outcome(lambda: geometry._incidence_of(h, None)),
                                 want, slice(i, i + 1))
     for c, d in (([math.nan, 1, 0], 0), ([1, math.inf, 0], 0), ([1, 0, 0], complex(0, math.inf)),
                  ([1e-320, 0, 0], 0), ([1e-300, 0, 0], 1e10)):
         h = Hyperplane(c + [0] * (n - 3), d)
-        assert_same_outcome(incidence_outcome(lambda: geometry._incidence_of(h, None)),
+        assert_same_outcome(outcome(lambda: geometry._incidence_of(h, None)),
                             oracle_outcome(monkeypatch, lambda: geometry._incidence_of(h, None)))
 
 

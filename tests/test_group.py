@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qmono import group
@@ -290,22 +290,16 @@ def as_pair(g):
     return g.free_part, g.kappa_bit
 
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
-
-
-@PROPERTY
 @given(letters=raw_words(kappa=False))
 def test_free_reduce_matches_oracle(letters):
     assert group.free_reduce(letters) == oracle_free_reduce(letters)
 
 
-@PROPERTY
 @given(raw=raw_words())
 def test_normalize_matches_oracle(raw):
     assert as_pair(group.normalize(raw)) == oracle_normalize(raw)
 
 
-@PROPERTY
 @given(x=raw_words(), y=raw_words(), cut=st.floats(0, 1))
 def test_multiply_matches_normalize(x, y, cut):
     g, h = group.normalize(x), group.normalize(y)
@@ -320,14 +314,12 @@ def test_multiply_matches_normalize(x, y, cut):
     assert group.multiply(g, group.multiply(group.invert(g), h)) == h
 
 
-@PROPERTY
 @given(raw=raw_words())
 def test_invert_matches_oracle(raw):
     g = group.normalize(raw)
     assert as_pair(group.invert(g)) == oracle_invert(g)
 
 
-@PROPERTY
 @given(raw=raw_words())
 def test_format_parse_matches_oracle(raw):
     g = group.normalize(raw)
@@ -359,7 +351,6 @@ MALFORMED_TOKENS = {text: outcome for text, outcome in (
 )}
 
 
-@PROPERTY
 @given(raw=raw_words(), data=st.data())
 def test_parse_word_tokens_match_oracle(raw, data):
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))

@@ -110,3 +110,20 @@ def test_one_function_builds_a_loop_without_its_constructor():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and builds_without_constructor(node)]
     assert len(found) <= 1, found
+
+
+# The hypothesis policy has one home, the profile that conftest.py loads; a test states only a
+# number of examples other than the profile's 200.
+PROFILE_ARGUMENTS = {"deadline", "derandomize", "database"}
+
+
+def test_settings_state_only_their_example_count():
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "settings"):
+                found += [f"{path.name}:{node.lineno}: {ast.unparse(k)}" for k in node.keywords
+                          if k.arg in PROFILE_ARGUMENTS
+                          or (k.arg == "max_examples" and ast.unparse(k.value) == "200")]
+    assert not found, found

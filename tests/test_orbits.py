@@ -1,6 +1,6 @@
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qmono.errors import BadParameters, OddParityClaim
@@ -173,7 +173,6 @@ def test_orbit_bfs_matches_oracle_on_grid(parity):
                 assert orbit_bfs((u, v), parity, length) == ball, ((u, v), length)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(u=st.integers(-1000, 1000), v=st.integers(-1000, 1000),
        max_word_len=st.integers(0, 60), parity=st.sampled_from(Parity))
 def test_orbit_bfs_matches_oracle_far_out(u, v, max_word_len, parity):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qmono import group, representation
@@ -110,11 +110,8 @@ def test_determinant_character_closed_form():
     for _ in range(200):
         g = random_word(rng)
         total = len(g.free_part) + g.kappa_bit
-        assert representation.determinant_character(g, EVEN) == (-1) ** total
-        assert representation.determinant_character(g, ODD) == (-1) ** g.kappa_bit
-        for parity in Parity:
-            assert representation.determinant_character(g, parity) == \
-                matrix_of(g, parity).det()
+        assert matrix_of(g, EVEN).det() == (-1) ** total
+        assert matrix_of(g, ODD).det() == (-1) ** g.kappa_bit
 
 
 def test_quotient_character():
@@ -179,7 +176,6 @@ def oracle_matrix_of(g, parity):
     return result
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32), max_len=st.sampled_from((20, 2000, 10 ** 4)))
 def test_matrix_of_matches_fold(seed, max_len):
     g = random_word(random.Random(seed), max_len=max_len)
