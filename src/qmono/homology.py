@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from .errors import BadParameters, DimensionTooSmall, NegativeDimension
+from .errors import DimensionTooSmall, NegativeDimension
 
 RankTable = Dict[int, int]
 
@@ -34,34 +34,21 @@ def sphere_homology(k: int) -> RankTable:
     return {0: 1, k: 1}
 
 
-def _reduced_sphere(k: int) -> RankTable:
-    return {k: 1}
-
-
-def solve_split_extension(left_rank: int, right_rank: int) -> int:
-    """Rank of the middle of 0 -> Z^l -> H -> Z^r -> 0 (splits, H free)."""
-    if left_rank < 0 or right_rank < 0:
-        raise BadParameters(f"ranks must be >= 0, got {left_rank} and {right_rank}")
-    return left_rank + right_rank
-
-
 def homology_table(n: int) -> HomologyTable:
     if n < 2:
         raise DimensionTooSmall(f"need n >= 2, got {n}")
-    reduced_a = _reduced_sphere(n - 1)
-    reduced_l: RankTable = {}          # contractible
-    reduced_al = _reduced_sphere(n - 2)
+    reduced_a = {n - 1: 1}
+    reduced_al = {n - 2: 1}    # L is contractible: no reduced homology
 
     # Mayer-Vietoris, degree by degree.  The intersection's only reduced
     # homology sits in degree n-2 where A and L have none, so the map
     # into the direct sum is zero there: its full rank feeds the
     # connecting kernel of the row one degree up, and every cokernel is
-    # the plain direct sum.
+    # the plain direct sum.  Every group is free, so each row splits and
+    # its middle rank is the cokernel's plus the kernel's.
     absolute: RankTable = {}
     for i in range(n + 2):
-        cokernel = reduced_a.get(i, 0) + reduced_l.get(i, 0)
-        kernel = reduced_al.get(i - 1, 0)
-        rank = solve_split_extension(cokernel, kernel)
+        rank = reduced_a.get(i, 0) + reduced_al.get(i - 1, 0)
         if rank:
             absolute[i] = rank
 

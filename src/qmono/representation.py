@@ -11,7 +11,8 @@ vectors (u, v):
 Matrices are exact integer 2x2 matrices (Python ints, so no overflow).
 The matrix of a word g1 g2 ... gm is M(g1) M(g2) ... M(gm); composite
 loops act on column vectors with the leftmost letter's matrix applied
-last.  `matrix_of` evaluates that product in closed form.
+last.  `matrix_of` evaluates that product in closed form.  Every
+matrix fixes (1, 1), the class a + b.
 """
 
 from __future__ import annotations
@@ -115,15 +116,6 @@ def matrix_of(g: GroupWord, parity: Parity) -> MonodromyMatrix:
     if g.kappa_bit:
         p, q, r, s = q, p, s, r
     return MonodromyMatrix(p, q, r, s)
-
-
-def apply(g: GroupWord, point: LatticePoint, parity: Parity) -> LatticePoint:
-    return matrix_of(g, parity).apply(point)
-
-
-def invariant_line(parity: Parity) -> LatticePoint:
-    """Generator of the fixed line a + b; fixed by every generator matrix."""
-    return (1, 1)
 
 
 def quotient_character(g: GroupWord, parity: Parity) -> int:

@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from qmono import group, homology, loops, orbits, representation
+from qmono import group, homology, loops, orbits
 from qmono.cli import main as cli_main
 from qmono.geometry import Hyperplane, is_tangent, quad_form
 from qmono.group import ALPHA, BETA, KAPPA, IDENTITY
@@ -84,7 +84,7 @@ def test_criterion_4_invariant_subspace():
     for _ in range(1000):
         g = random_word(rng)
         for parity in Parity:
-            assert representation.apply(g, (1, 1), parity) == (1, 1)
+            assert matrix_of(g, parity).apply((1, 1)) == (1, 1)
     print("PASS criterion 4: (1,1) fixed by 1000 random words, both parities")
 
 

@@ -3,7 +3,6 @@ import contextlib
 import copy
 import dataclasses
 import hashlib
-import importlib
 import io
 import json
 import math
@@ -18,7 +17,6 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-import qmono
 from qmono import loops, orbits
 from qmono.cli import main
 
@@ -270,26 +268,13 @@ def test_group_commands_do_not_import_numpy():
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = ("import sys; from qmono.cli import main; "
             f"codes = [main(argv) for argv in {GROUP_COMMANDS!r}]; "
-            "import qmono; qmono.multiply; "
             "assert codes == [0] * len(codes), codes; "
             "assert 'numpy' not in sys.modules, 'numpy imported'; "
-            "qmono.classify; assert 'numpy' in sys.modules")
+            "from qmono import loops; assert 'numpy' in sys.modules")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:3] == ["b k", "a b k", "b^-1 k"]
-
-
-@pytest.mark.parametrize("name", sorted(qmono._LAZY))
-def test_lazy_export_is_its_module_attribute(name):
-    # The subprocess above reaches two of these names; a stale entry would fail only on access.
-    module = importlib.import_module(f"qmono.{qmono._LAZY[name]}")
-    assert getattr(qmono, name) is getattr(module, name)
-
-
-def test_unknown_export_raises_attribute_error():
-    with pytest.raises(AttributeError, match="^module 'qmono' has no attribute 'no_such_name'$"):
-        qmono.no_such_name
 
 
 def alpha_document():

@@ -1,7 +1,7 @@
 import pytest
 
 from qmono import homology
-from qmono.errors import BadParameters, DimensionTooSmall, NegativeDimension, QmonoError
+from qmono.errors import DimensionTooSmall, NegativeDimension
 
 
 def test_sphere_homology():
@@ -13,16 +13,6 @@ def test_sphere_homology():
 def test_sphere_homology_rejects_negative():
     with pytest.raises(NegativeDimension):
         homology.sphere_homology(-1)
-
-
-def test_solve_split_extension():
-    assert homology.solve_split_extension(1, 1) == 2
-    assert homology.solve_split_extension(0, 0) == 0
-    assert homology.solve_split_extension(2, 3) == 5
-    for ranks in ((-1, 0), (0, -1)):
-        with pytest.raises(BadParameters, match="ranks must be >= 0"):
-            homology.solve_split_extension(*ranks)
-    assert issubclass(BadParameters, QmonoError)
 
 
 def test_table_examples():

@@ -86,6 +86,14 @@ def test_one_module_level_tolerance():
     assert SRC.is_dir() and not found, found
 
 
+def test_package_binds_no_names():
+    # Callers import the modules (`from qmono import loops`), so a name bound in __init__.py
+    # would only be a second path to one of theirs.
+    path = SRC / "__init__.py"
+    found = sorted(module_level_names(ast.parse(path.read_text(), filename=str(path))))
+    assert not found, found
+
+
 def builds_without_constructor(function):
     """True if the function calls object.__new__ or writes into an instance __dict__, by
     item assignment or by a method call such as update."""
