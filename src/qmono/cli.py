@@ -6,8 +6,9 @@ as [re, im] pairs.  Exit status: 0 success, 1 domain error, 2 usage
 error.  `classify` reads the env var QMONO_TOL, a tolerance 0 < tol < 1 that
 overrides the default 1e-9; no other command, and no library call, reads it.
 
-Each `_cmd_*` handler returns its (document, text), `selftest` also its
-exit status; `main` alone prints one of the two, maps a QmonoError or an
+Each `_cmd_*` handler returns what `main` prints, the document under
+--json and the text otherwise, with its exit status, and builds no output
+that is not printed.  `main` alone prints it, and maps a QmonoError or an
 OSError (printing included) to `error: ...` and exit status 1.
 """
 
@@ -37,24 +38,23 @@ def _cmd_word(args):
     operation, names, _ = _WORD_COMMANDS[args.subcommand]
     g = operation(*(group.parse_word(getattr(args, name)) for name in names))
     word = group.format_word(g)
-    return {"word": word, "free_part": [[gen, exp] for gen, exp in g.free_part],
-            "kappa_bit": g.kappa_bit}, word
+    return ({"word": word, "free_part": [[gen, exp] for gen, exp in g.free_part],
+             "kappa_bit": g.kappa_bit} if args.json else word), 0
 
 
 def _cmd_rep(args):
     parity = Parity.from_dimension(args.n)
     g = group.parse_word(args.word)
     m = representation.matrix_of(g, parity)
-    document = {
+    character = representation.quotient_character(g, parity)
+    return ({
         "n": args.n,
         "parity": parity.value,
         "word": group.format_word(g),
         "matrix": m.rows(),
         "det": m.det(),
-        "quotient_character": representation.quotient_character(g, parity),
-    }
-    return document, (f"matrix {m.rows()}  det {m.det()}  "
-                      f"quotient_character {document['quotient_character']}")
+        "quotient_character": character,
+    } if args.json else f"matrix {m.rows()}  det {m.det()}  quotient_character {character}"), 0
 
 
 def _lattice_point(text: str) -> tuple[int, int]:
@@ -83,24 +83,25 @@ def _cmd_orbit(args):
     parity = Parity.from_dimension(args.n)
     report = orbits.verify_orbit_claim(args.radius, args.max_word_len, parity,
                                        start=args.start)
-    document = {
-        "n": args.n,
-        "parity": parity.value,
-        "start": list(args.start),
-        "box_radius": report.box_radius,
-        "max_word_len": report.max_word_len,
-        "ok": report.ok(),
-        **{name: sorted(map(list, getattr(report, name)))
-           for name in ("reached", "claimed", "missing", "extraneous")},
-    }
-    return document, "\n".join([
+    if args.json:
+        return {
+            "n": args.n,
+            "parity": parity.value,
+            "start": list(args.start),
+            "box_radius": report.box_radius,
+            "max_word_len": report.max_word_len,
+            "ok": report.ok(),
+            **{name: sorted(map(list, getattr(report, name)))
+               for name in ("reached", "claimed", "missing", "extraneous")},
+        }, 0
+    return "\n".join([
         f"reached {len(report.reached)} points "
         f"(word length <= {report.max_word_len})",
         f"claimed in box radius {report.box_radius}: {len(report.claimed)}",
         f"missing: {sorted(report.missing)}",
         f"extraneous: {sorted(report.extraneous)}",
         f"ok: {report.ok()}",
-    ])
+    ]), 0
 
 
 def _cmd_classify(args):
@@ -120,21 +121,22 @@ def _cmd_classify(args):
     except BadTolerance as exc:
         raise BadTolerance(f"QMONO_TOL: {exc}") from None
     diags = result.diagnostics
-    document = {
-        "word": group.format_word(result.word),
-        "kappa_bit": result.word.kappa_bit,
-        "matrix_even": result.matrix_even.rows(),
-        "matrix_odd": result.matrix_odd.rows(),
-        "diagnostics": dataclasses.asdict(diags),
-    }
-    return document, "\n".join([
+    if args.json:
+        return {
+            "word": group.format_word(result.word),
+            "kappa_bit": result.word.kappa_bit,
+            "matrix_even": result.matrix_even.rows(),
+            "matrix_odd": result.matrix_odd.rows(),
+            "diagnostics": dataclasses.asdict(diags),
+        }, 0
+    return "\n".join([
         f"word: {group.format_word(result.word)}",
         f"matrix (even n): {result.matrix_even.rows()}",
         f"matrix (odd n):  {result.matrix_odd.rows()}",
         f"diagnostics: margin {diags.min_discriminant_margin:.3g}, "
         f"max step {diags.max_relative_step:.3g}, "
         f"crossings {diags.crossing_count}, branch flip {diags.branch_flip}",
-    ])
+    ]), 0
 
 
 def _ranks(table: dict) -> dict:
@@ -144,15 +146,16 @@ def _ranks(table: dict) -> dict:
 
 def _cmd_homology(args):
     table = homology.homology_table(args.n)
-    document = {
-        "n": table.n,
-        "relative": _ranks(table.relative),
-        "absolute_reduced": _ranks(table.absolute),
-        "pieces": {name: _ranks(ranks) for name, ranks in table.pieces.items()},
-    }
-    return document, "\n".join(
+    if args.json:
+        return {
+            "n": table.n,
+            "relative": _ranks(table.relative),
+            "absolute_reduced": _ranks(table.absolute),
+            "pieces": {name: _ranks(ranks) for name, ranks in table.pieces.items()},
+        }, 0
+    return "\n".join(
         [f"H_i(C^{table.n}, A u L) ranks:"]
-        + [f"  degree {i}: {table.relative.get(i, 0)}" for i in range(table.n + 2)])
+        + [f"  degree {i}: {table.relative.get(i, 0)}" for i in range(table.n + 2)]), 0
 
 
 def _cmd_make_loop(args):
@@ -166,8 +169,8 @@ def _cmd_make_loop(args):
     with open(args.output, "w") as fh:
         fh.write(text)
     samples = len(loop.samples)
-    return ({"written": args.output, "kind": args.kind, "samples": samples},
-            f"wrote {args.kind} loop ({samples} samples) to {args.output}")
+    return ({"written": args.output, "kind": args.kind, "samples": samples} if args.json
+            else f"wrote {args.kind} loop ({samples} samples) to {args.output}"), 0
 
 
 def _cmd_selftest(args):
@@ -175,9 +178,9 @@ def _cmd_selftest(args):
 
     results = selftest.run_selftest()
     ok = all(r.passed for r in results)
-    text = "\n".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}"
-                     + (f": {r.detail}" if r.detail else "") for r in results)
-    return {"checks": [dataclasses.asdict(r) for r in results], "ok": ok}, text, int(not ok)
+    return ({"checks": [dataclasses.asdict(r) for r in results], "ok": ok} if args.json
+            else "\n".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}"
+                           + (f": {r.detail}" if r.detail else "") for r in results)), int(not ok)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,15 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        document, text, *status = args.func(args)
-        print(json.dumps(document, sort_keys=True) if args.json else text)
+        output, status = args.func(args)
+        print(json.dumps(output, sort_keys=True) if args.json else output)
     except QmonoError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # the file, or the pipe on stdout
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return status[0] if status else 0
+    return status
 
 
 def entry() -> None:

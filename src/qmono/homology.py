@@ -45,9 +45,10 @@ def homology_table(n: int) -> HomologyTable:
     # into the direct sum is zero there: its full rank feeds the
     # connecting kernel of the row one degree up, and every cokernel is
     # the plain direct sum.  Every group is free, so each row splits and
-    # its middle rank is the cokernel's plus the kernel's.
+    # its middle rank is the cokernel's plus the kernel's; only the
+    # degrees that carry one of those ranks can be nonzero.
     absolute: RankTable = {}
-    for i in range(n + 2):
+    for i in sorted({*reduced_a, *(degree + 1 for degree in reduced_al)}):
         rank = reduced_a.get(i, 0) + reduced_al.get(i - 1, 0)
         if rank:
             absolute[i] = rank

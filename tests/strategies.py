@@ -1,7 +1,8 @@
-"""Loops and outcomes shared by the property tests: generator composites, their mutations,
-and the helpers that build a loop from rows and catch a refusal.  pytest collects no test
-from this module."""
+"""Loops and outcomes shared by the tests: generator composites, their mutations, loops of
+n = 3 hyperplanes c = e1 with a given offset path, and the helpers that build a loop from rows
+and catch a refusal.  pytest collects no test from this module."""
 
+import cmath
 import functools
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qmono import group, loops
 from qmono.errors import QmonoError
+from qmono.geometry import Hyperplane
 from qmono.loops import HyperplaneLoop
 
 
@@ -17,6 +19,22 @@ def loop_of(rows, closure_lambda=None):
     """The loop whose samples are the rows (c | d) of the (m, n + 1) array rows."""
     n = rows.shape[1] - 1
     return HyperplaneLoop(n, loops.LoopSamples(rows[:, :n], rows[:, n]), closure_lambda)
+
+
+def line_loop(ds, cs=None):
+    """The loop of n = 3 hyperplanes with offsets ds and coefficient vectors cs, e1 unless
+    given, closing with factor 1."""
+    cs = cs or [[1.0, 0, 0]] * len(ds)
+    return HyperplaneLoop(3, tuple(Hyperplane(c, d) for c, d in zip(cs, ds)),
+                          closure_lambda=1.0)
+
+
+def far_circle_loop(r):
+    """c = e1 and d on a circle about 1.2 r: the fiber path circles a point far out on the
+    positive axis and encloses neither puncture."""
+    circle = [1.2 * r + 0.3 * r * cmath.exp(1j * (math.pi / 2 + 2 * math.pi * j / 16))
+              for j in range(17)]
+    return line_loop([1j * r, (0.6 + 0.9j) * r, *circle, (0.6 + 0.9j) * r, 1j * r])
 
 
 def outcome(call):

@@ -30,9 +30,8 @@ from qmono.errors import (
 from qmono.geometry import Hyperplane
 from qmono.group import ALPHA, BETA
 from qmono.loops import HyperplaneLoop
-from qmono.representation import MonodromyMatrix
-from strategies import (PIECES, composite_rows, composites, generator_pieces, loop_of,
-                        mutated_piece, outcome, product)
+from strategies import (PIECES, composite_rows, composites, far_circle_loop, generator_pieces,
+                        line_loop, loop_of, mutated_piece, outcome, product)
 
 
 def word(text):
@@ -84,6 +83,15 @@ def test_branch_rejection_index():
     with pytest.raises(AsymptoticSample) as info:
         loops.continue_sqrt_branch([1.0, 1.0, 1e-12])
     assert info.value.index == 2
+    # Each rule at its tie, a relative step of exactly 1 and |q| = tol, is refused; the
+    # nearest float to the tie on the other side, toward q = 1, gets an answer.
+    for last, tol, error, index, message in (
+            (2.0, None, UndersampledLoop, 0, "relative step 1 >= 1 at sample 0"),
+            (0.5, 0.5, AsymptoticSample, 1, "|q| = 0.5 at sample 1")):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            loops.continue_sqrt_branch([1.0, last], tol)
+        assert info.value.index == index
+        assert len(loops.continue_sqrt_branch([1.0, math.nextafter(last, 1.0)], tol)) == 2
 
 
 # --- fiber word --------------------------------------------------------
@@ -212,35 +220,6 @@ def test_huge_segments_measured_without_overflow(exponent, tol):
 
 # --- classify ----------------------------------------------------------
 
-def test_classify_fixtures():
-    res = loops.classify(loops.make_alpha_loop(4))
-    assert res.word == word("a")
-    assert res.matrix_even == MonodromyMatrix(-1, 2, 0, 1)
-    assert loops.classify(loops.make_beta_loop(4)).word == word("b")
-    kappa = loops.classify(loops.make_kappa_loop(4))
-    assert kappa.word == word("k")
-    assert kappa.matrix_even == MonodromyMatrix(0, 1, 1, 0)
-    assert loops.classify(loops.make_constant_loop(4)).word == word("")
-
-
-def test_classify_refinement_stable():
-    for maker in (loops.make_alpha_loop, loops.make_beta_loop):
-        coarse = loops.classify(maker(4, m=128)).word
-        fine = loops.classify(maker(4, m=256)).word
-        assert coarse == fine
-    assert loops.classify(loops.make_kappa_loop(4, m=128)).word == \
-        loops.classify(loops.make_kappa_loop(4, m=256)).word
-
-
-def test_classify_reverse_inverts():
-    for maker in (loops.make_alpha_loop, loops.make_beta_loop):
-        forward = loops.classify(maker(4)).word
-        backward = loops.classify(loops.reverse(maker(4))).word
-        assert backward == group.invert(forward)
-    k = loops.make_kappa_loop(4)
-    assert loops.classify(loops.reverse(k)).word == word("k")
-
-
 @pytest.mark.parametrize("lam", [1e-3, 1e3])
 @pytest.mark.parametrize("eps", [0.0, 3e-10])
 def test_reverse_closes_when_loop_closes(lam, eps):
@@ -307,16 +286,15 @@ def test_reverse_refuses_row_scaled_to_zero():
     assert info.value.index == 44
 
 
-def test_classify_matrix_fixes_invariant_vector():
-    for maker in (loops.make_alpha_loop, loops.make_beta_loop):
-        res = loops.classify(maker(4))
-        assert res.matrix_even.apply((1, 1)) == (1, 1)
-        assert res.matrix_odd.apply((1, 1)) == (1, 1)
-
-
 def test_maker_parameter_validation():
     with pytest.raises(BadParameters):
         loops.make_alpha_loop(4, eps=1.5)
+    # both ends of 0 < eps < 1 are refused, and the nearest floats inside build a loop
+    for eps in (0.0, 1.0):
+        with pytest.raises(BadParameters, match=f"^eps must be in \\(0, 1\\), got {eps}$"):
+            loops.make_alpha_loop(4, eps=eps)
+    for eps in (5e-324, math.nextafter(1.0, 0.0)):
+        assert len(loops.make_alpha_loop(4, eps=eps).samples) == 257
     with pytest.raises(BadParameters):
         loops.make_beta_loop(4, m=10)
     with pytest.raises(BadParameters):
@@ -343,15 +321,6 @@ def test_loop_json_roundtrip(tmp_path):
     assert all(np.allclose(h1.c, h2.c) and h1.d == h2.d
                for h1, h2 in zip(loop.samples, back.samples))
     assert loops.classify(back).word == word("k")
-
-
-def test_classify_scale_invariant():
-    # rescaling every sample by a fixed nonzero factor changes nothing
-    base = loops.make_beta_loop(4, m=128)
-    factor = 0.3 - 1.7j
-    scaled = HyperplaneLoop(4, tuple(h.scaled(factor) for h in base.samples),
-                            closure_lambda=1.0)
-    assert loops.classify(scaled).word == word("b")
 
 
 # --- the array pass reproduces the per-sample classifier ----------------
@@ -621,12 +590,6 @@ def test_makers_small_sample_counts():
 
 
 # --- every refusal names its first offending sample ---------------------
-
-def line_loop(ds, cs=None):
-    cs = cs or [[1.0, 0, 0]] * len(ds)
-    return HyperplaneLoop(3, tuple(Hyperplane(c, d) for c, d in zip(cs, ds)),
-                          closure_lambda=1.0)
-
 
 def with_sample(loop, i, h):
     samples = list(loop.samples)
@@ -1067,14 +1030,6 @@ def test_library_ignores_tolerance_env(monkeypatch):
     for value in ("abc", "nan", "1e-3"):
         monkeypatch.setenv("QMONO_TOL", value)
         assert [call() for call in calls] == unset
-
-
-def far_circle_loop(r):
-    """c = e1 and d on a circle about 1.2 r: the fiber path circles a point far out on the
-    positive axis and encloses neither puncture."""
-    circle = [1.2 * r + 0.3 * r * cmath.exp(1j * (math.pi / 2 + 2 * math.pi * j / 16))
-              for j in range(17)]
-    return line_loop([1j * r, (0.6 + 0.9j) * r, *circle, (0.6 + 0.9j) * r, 1j * r])
 
 
 @pytest.mark.parametrize("r", [10.0, 1e100, 1e154, 1e155, 1e160, 1e200, 1e250, 1e300])

@@ -1,16 +1,15 @@
-import cmath
 import contextlib
 import copy
 import dataclasses
 import hashlib
 import io
 import json
-import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,83 +18,13 @@ from hypothesis import strategies as st
 
 from qmono import loops, orbits
 from qmono.cli import main
+from strategies import far_circle_loop
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_normalize(capsys):
-    code, out, _ = run(capsys, "normalize", "k a")
-    assert code == 0
-    assert out.strip() == "b k"
-
-
-def test_normalize_json_roundtrip(capsys):
-    code, out, _ = run(capsys, "normalize", "a k b k a^-1", "--json")
-    assert code == 0
-    document = json.loads(out)
-    code, out, _ = run(capsys, "normalize", document["word"], "--json")
-    assert code == 0
-    assert json.loads(out) == document
-
-
-def test_multiply_and_invert(capsys):
-    code, out, _ = run(capsys, "multiply", "a k", "a")
-    assert code == 0
-    assert out.strip() == "a b k"
-    code, out, _ = run(capsys, "invert", "a k")
-    assert code == 0
-    assert out.strip() == "b^-1 k"
-
-
-def test_rep(capsys):
-    code, out, _ = run(capsys, "rep", "--n", "4", "a", "--json")
-    assert code == 0
-    document = json.loads(out)
-    assert document["matrix"] == [[-1, 2], [0, 1]]
-    assert document["det"] == -1
-    code, out, _ = run(capsys, "rep", "--n", "5", "a")
-    assert code == 0
-    assert "[[1, 0], [0, 1]]" in out
-
-
-def test_orbit(capsys):
-    code, out, _ = run(capsys, "orbit", "--n", "4", "--radius", "3",
-                       "--max-word-len", "6", "--json")
-    assert code == 0
-    document = json.loads(out)
-    assert document["ok"] is True
-    assert document["missing"] == []
-    assert [1, 0] in document["reached"]
-
-
-def test_orbit_odd_parity_is_domain_error(capsys):
-    code, _, err = run(capsys, "orbit", "--n", "5")
-    assert code == 1
-    assert "OddParityClaim" in err
-
-
-def test_homology(capsys):
-    code, out, _ = run(capsys, "homology", "--n", "3", "--json")
-    assert code == 0
-    assert json.loads(out)["relative"] == {"3": 2}
-
-
-def test_make_loop_then_classify(capsys, tmp_path):
-    path = tmp_path / "kappa.json"
-    code, _, _ = run(capsys, "make-loop", "--kind", "kappa", "--n", "4",
-                     "--samples", "128", "-o", str(path))
-    assert code == 0
-    code, out, _ = run(capsys, "classify", str(path), "--json")
-    assert code == 0
-    document = json.loads(out)
-    assert document["word"] == "k"
-    assert document["matrix_even"] == [[0, 1], [1, 0]]
-    code, _, err = run(capsys, "classify", "--n", "5", str(path))
-    assert code == 1
 
 
 @pytest.mark.parametrize("argv", [("--kind", "alpha", "--n", "4", "--samples", "100000000000"),
@@ -108,18 +37,6 @@ def test_make_loop_refuses_oversized_fixture(capsys, tmp_path, argv):
     assert err.count("\n") == 1 and err.startswith("error: BadParameters: ") and err.endswith(
         f"above MAX_FIXTURE_ENTRIES = {loops.MAX_FIXTURE_ENTRIES}\n")
     assert not path.exists()
-
-
-def test_classify_missing_file(capsys):
-    code, _, err = run(capsys, "classify", "/nonexistent/loop.json")
-    assert code == 1
-
-
-def test_selftest(capsys):
-    code, out, _ = run(capsys, "selftest")
-    assert code == 0
-    assert out.count("PASS") == 4
-    assert "FAIL" not in out
 
 
 def test_selftest_reports_failures(capsys, monkeypatch):
@@ -150,10 +67,17 @@ def test_usage_errors_exit_2(capsys):
     assert info.value.code == 2
 
 
-def test_domain_error_exit_1(capsys):
-    code, _, err = run(capsys, "normalize", "z")
-    assert code == 1
-    assert "MalformedWord" in err
+def test_json_mode_builds_no_homology_text(capsys):
+    # The document holds four one- or two-entry tables at any n; the text that --json does not
+    # print has n + 2 lines, and once took about 90 MB at this n.
+    tracemalloc.start()
+    try:
+        code = main(["homology", "--n", "1000000", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, json.loads(capsys.readouterr().out)["relative"]) == (0, {"1000000": 2})
+    assert peak < 2 ** 20
 
 
 def write_loop(tmp_path, name, edit):
@@ -236,14 +160,10 @@ def test_tolerance_env_override(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("r", [10.0, 1e100, 1e160, 1e200, 1e250, 1e300])
 def test_classify_far_fiber_crossings(capsys, tmp_path, r):
-    # c = e1 and d on a circle about 1.2 r, which encloses neither puncture; from r = 1e200 on
-    # the crossings were once computed past the largest float and gave a^-1 b^-1.
-    circle = [1.2 * r + 0.3 * r * cmath.exp(1j * (math.pi / 2 + 2 * math.pi * j / 16))
-              for j in range(17)]
-    ds = [1j * r, (0.6 + 0.9j) * r, *circle, (0.6 + 0.9j) * r, 1j * r]
+    # A circle about 1.2 r that encloses neither puncture; from r = 1e200 on the crossings
+    # were once computed past the largest float and gave a^-1 b^-1.
     path = tmp_path / "far.json"
-    path.write_text(json.dumps({"n": 3, "closure_lambda": [1.0, 0.0], "samples": [
-        {"c": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "d": [d.real, d.imag]} for d in ds]}))
+    path.write_text(json.dumps(loops.loop_to_dict(far_circle_loop(r))))
     code, out, err = run(capsys, "classify", str(path), "--json")
     assert (code, json.loads(out)["word"], err) == (0, "", "")
 
@@ -352,6 +272,15 @@ GOLDEN_OUTPUT = [
      'matrix [[1, 0], [0, 1]]  det 1  quotient_character 1\n',
      '{"det": 1, "matrix": [[1, 0], [0, 1]], "n": 5, "parity": "odd", '
      '"quotient_character": 1, "word": "a"}\n'),
+    ('orbit --n 4 --radius 1 --max-word-len 2',
+     'reached 8 points (word length <= 2)\n'
+     'claimed in box radius 1: 4\n'
+     'missing: []\n'
+     'extraneous: []\n'
+     'ok: True\n',
+     '{"box_radius": 1, "claimed": [[-1, 0], [0, -1], [0, 1], [1, 0]], "extraneous": [], '
+     '"max_word_len": 2, "missing": [], "n": 4, "ok": true, "parity": "even", "reached": '
+     '[[-1, -2], [-1, 0], [0, -1], [0, 1], [1, 0], [1, 2], [2, 1], [3, 2]], "start": [1, 0]}\n'),
     ('orbit --n 4 --start 2,1 --radius 2 --max-word-len 3',
      'reached 12 points (word length <= 3)\n'
      'claimed in box radius 2: 8\n'
