@@ -10,6 +10,9 @@ Each `_cmd_*` handler returns what `main` prints, the document under
 --json and the text otherwise, with its exit status, and builds no output
 that is not printed.  `main` alone prints it, and maps a QmonoError or an
 OSError (printing included) to `error: ...` and exit status 1.
+
+The CLI holds no file-format code: `classify` reads its loop file with
+`loops.load` and `make-loop` writes one with `loops.save`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import sys
 from typing import Sequence
 
 from . import group, homology, orbits, representation
-from .errors import BadParameters, BadTolerance, MalformedLoopFile, QmonoError
+from .errors import BadParameters, BadTolerance, QmonoError
 from .representation import Parity
 
 
@@ -107,13 +110,7 @@ def _cmd_orbit(args):
 def _cmd_classify(args):
     from . import loops  # numpy loads only for the loop commands
 
-    with open(args.loop_file) as fh:
-        try:
-            loop = loops.loop_from_dict(json.load(fh))
-        except MalformedLoopFile as exc:
-            raise MalformedLoopFile(f"{args.loop_file}: {exc}") from None
-        except (RecursionError, ValueError) as exc:  # not JSON
-            raise MalformedLoopFile(f"{args.loop_file}: {type(exc).__name__}: {exc}") from None
+    loop = loops.load(args.loop_file)
     if args.n is not None and args.n != loop.n:
         raise BadParameters(f"--n {args.n} does not match loop dimension {loop.n}")
     try:  # an empty QMONO_TOL counts as unset; a bad one is classify's only BadTolerance
@@ -164,10 +161,7 @@ def _cmd_make_loop(args):
     makers = {"alpha": loops.make_alpha_loop, "beta": loops.make_beta_loop,
               "kappa": lambda n, _eps, m: loops.make_kappa_loop(n, m)}
     loop = makers[args.kind](args.n, args.eps, args.samples)
-    # json.dumps, not json.dump: only the one-shot call uses the C encoder.
-    text = json.dumps(loops.loop_to_dict(loop)) + "\n"
-    with open(args.output, "w") as fh:
-        fh.write(text)
+    loops.save(loop, args.output)
     samples = len(loop.samples)
     return ({"written": args.output, "kind": args.kind, "samples": samples} if args.json
             else f"wrote {args.kind} loop ({samples} samples) to {args.output}"), 0

@@ -4,8 +4,8 @@ Every domain error derives from :class:`QmonoError` so the CLI can map
 them uniformly to exit status 1.  The refusals of one sample derive from
 :class:`SampleError` and carry it in ``index``: ZeroCoefficientVector,
 NonFiniteSample, UndersampledLoop, AsymptoticSample, BranchAmbiguity,
-PunctureCollision, NotClosed and NotGeneralPosition.  A lone hyperplane
-or coefficient vector is sample 0.
+PunctureCollision, NotClosed, BaseOnBranchCut and NotGeneralPosition.  A
+lone hyperplane or coefficient vector is sample 0.
 """
 
 
@@ -74,6 +74,12 @@ class PunctureCollision(SampleError):
 
 class NotClosed(SampleError):
     """Loop endpoints do not match up to the closure scale factor."""
+
+
+class BaseOnBranchCut(SampleError):
+    """The first sample's q_0, at |c| = 1, lies within tol |q_0| of the negative real axis, the
+    cut of the principal root that marks the punctures, so that which puncture is +1 would
+    depend on rounding; ``index`` is 0."""
 
 
 class NotGeneralPosition(SampleError):

@@ -37,28 +37,12 @@ def sphere_homology(k: int) -> RankTable:
 def homology_table(n: int) -> HomologyTable:
     if n < 2:
         raise DimensionTooSmall(f"need n >= 2, got {n}")
-    reduced_a = {n - 1: 1}
-    reduced_al = {n - 2: 1}    # L is contractible: no reduced homology
-
-    # Mayer-Vietoris, degree by degree.  The intersection's only reduced
-    # homology sits in degree n-2 where A and L have none, so the map
-    # into the direct sum is zero there: its full rank feeds the
-    # connecting kernel of the row one degree up, and every cokernel is
-    # the plain direct sum.  Every group is free, so each row splits and
-    # its middle rank is the cokernel's plus the kernel's; only the
-    # degrees that carry one of those ranks can be nonzero.
-    absolute: RankTable = {}
-    for i in sorted({*reduced_a, *(degree + 1 for degree in reduced_al)}):
-        rank = reduced_a.get(i, 0) + reduced_al.get(i - 1, 0)
-        if rank:
-            absolute[i] = rank
-
-    # Long exact sequence of the pair with contractible total space.
-    relative = {i + 1: rank for i, rank in absolute.items()}
-
+    # Mayer-Vietoris: A n L ~ S^{n-2} has reduced homology only where A and L have none, so it
+    # feeds the degree above, beside A ~ S^{n-1}: Z^2 in degree n-1.  The long exact sequence
+    # of the pair, with C^n contractible, moves that up one degree.
     pieces = {
         "A": sphere_homology(n - 1),
         "L": {0: 1},
         "A_int_L": sphere_homology(n - 2),
     }
-    return HomologyTable(n=n, relative=relative, absolute=absolute, pieces=pieces)
+    return HomologyTable(n=n, relative={n: 2}, absolute={n - 1: 2}, pieces=pieces)

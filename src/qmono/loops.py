@@ -20,8 +20,11 @@ r_{i+1} / r_i within pi/4 of +-1, so the sign never ties.  The loop closes
 with one more step, from q_{m-1} to lambda^2 q_0 with lambda the closure factor
 of the scaled samples, held to the same rule, and the kappa bit is set when
 Re(s_{m-1} conj(lambda s_0)) < 0.  A refusal names the first offending sample;
-the checks run in the order non-finite, general position, closure, q-step,
-closing q-step, non-finite w, puncture collision, fiber step.  The first
+the checks run in the order non-finite, general position, closure, base on the
+branch cut, q-step, closing q-step, non-finite w, puncture collision, fiber step.
+The principal root s_0 marks the punctures, so a q_0 within tol |q_0| of the
+negative real axis, its cut, is refused at index 0 as BaseOnBranchCut: there
+the mark, and with it the word, would depend on rounding.  The first
 non-finite check is `geometry.incidence`'s, the one the scalar predicates and
 `Hyperplane.normalized` make at index 0; the second refuses, also as
 NonFiniteSample, a w = d / s past the largest float.
@@ -72,6 +75,7 @@ respectively; the fixture tests pin them.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,9 +85,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import group, representation
-from .errors import (AsymptoticSample, BadParameters, BranchAmbiguity, DimensionTooSmall,
-                     MalformedLoopFile, NonFiniteSample, NotClosed, NotGeneralPosition,
-                     PunctureCollision, UndersampledLoop, ZeroCoefficientVector)
+from .errors import (AsymptoticSample, BadParameters, BaseOnBranchCut, BranchAmbiguity,
+                     DimensionTooSmall, MalformedLoopFile, NonFiniteSample, NotClosed,
+                     NotGeneralPosition, PunctureCollision, UndersampledLoop, ZeroCoefficientVector)
 from .geometry import Hyperplane, default_tol, incidence
 from .group import FreeWord, GroupWord
 from .representation import MonodromyMatrix, Parity
@@ -361,6 +365,11 @@ def classify(loop: HyperplaneLoop, tol: float | None = None) -> ClassificationRe
     # Per-sample normalization rescales the endpoints by positive reals,
     # so the closure factor picks up the ratio of coefficient norms.
     lam = closure_scale(loop, tol) * float(inc.inv[-1] / inc.inv[0])
+    # The principal root of q_0 marks the punctures; on its cut the mark would follow rounding.
+    q0, size0 = complex(inc.q[0]), float(inc.size[0])
+    if q0.real < 0.0 and abs(q0.imag) <= tol * size0:
+        raise BaseOnBranchCut(0, f"q_0 of sample 0 is {abs(q0.imag) / size0:.3g} |q_0| from the "
+                                 f"branch cut of its principal root, within tol = {tol:.3g}")
     branch, step = _sqrt_branch(inc.q, inc.size)
     bit = _branch_bit(lam, inc.q, inc.size, branch)
     # w = d / s overflows where |s| is small and |d| near the largest float.
@@ -502,7 +511,8 @@ def reverse(loop: HyperplaneLoop, tol: float | None = None) -> HyperplaneLoop:
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format, shared with the CLI: complex numbers as [re, im] pairs.
+# Loop files: JSON documents, complex numbers as [re, im] pairs.  `load` and `save` are the only
+# code that opens, decodes or encodes one.
 
 def loop_to_dict(loop: HyperplaneLoop) -> dict:
     c, d = (np.stack((z.real, z.imag), axis=-1).tolist() for z in (loop.samples.c, loop.samples.d))
@@ -547,3 +557,22 @@ def loop_from_dict(data: dict) -> HyperplaneLoop:
         return HyperplaneLoop(n, LoopSamples._from_rows(rows), closure_lambda=lam)
     except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise MalformedLoopFile(f"{type(exc).__name__}: {exc}") from None
+
+
+def load(path) -> HyperplaneLoop:
+    """The loop in the JSON file at path.  A file that is not JSON, or a document outside the
+    format, raises MalformedLoopFile with the path in front of the cause; an OSError passes."""
+    with open(path) as fh:
+        try:
+            return loop_from_dict(json.load(fh))
+        except MalformedLoopFile as exc:
+            raise MalformedLoopFile(f"{path}: {exc}") from None
+        except (RecursionError, ValueError) as exc:  # not JSON
+            raise MalformedLoopFile(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def save(loop: HyperplaneLoop, path) -> None:
+    """Write loop to path as its loop_to_dict document, on one line."""
+    with open(path, "w") as fh:
+        # json.dumps, not json.dump: only the one-shot call uses the C encoder.
+        fh.write(json.dumps(loop_to_dict(loop)) + "\n")

@@ -16,6 +16,7 @@ from qmono.errors import (
     AsymptoticSample,
     BadParameters,
     BadTolerance,
+    BaseOnBranchCut,
     BranchAmbiguity,
     DimensionTooSmall,
     MalformedLoopFile,
@@ -76,6 +77,16 @@ def test_branch_against_angle_accumulation():
             assert abs(si * si - q) < 1e-12
 
 
+def closing_tie_loop(closure_lambda):
+    """64 samples running straight from c = (-2 - i, -1 - i, -i) to (-2 - i, -1, 1 - i), both
+    with |c|^2 = 8 and a largest part of 2, so that q at |c| = 1 is exact at both ends, and
+    d = 16i, which keeps the fiber path off the punctures at tol = 0.5."""
+    t = np.arange(64)[:, None] / 63
+    c0, c1 = np.array([-2 - 1j, -1 - 1j, -1j]), np.array([-2 - 1j, -1, 1 - 1j])
+    return HyperplaneLoop(3, loops.LoopSamples(c0 + t * (c1 - c0), np.full(64, 16j)),
+                          closure_lambda)
+
+
 def test_branch_rejection_index():
     with pytest.raises(UndersampledLoop) as info:
         loops.continue_sqrt_branch([1.0, 1.0, -1.0])
@@ -92,6 +103,13 @@ def test_branch_rejection_index():
             loops.continue_sqrt_branch([1.0, last], tol)
         assert info.value.index == index
         assert len(loops.continue_sqrt_branch([1.0, math.nextafter(last, 1.0)], tol)) == 2
+    # The closing step at its tie: at |c| = 1, q runs from 0.25 + 0.75i to 0.5 + 0.25i, and
+    # with closure_lambda = 1 the step back to q_0 is |-0.25 + 0.5i| = |q_63|, both exact at
+    # tol = 0.5; one float below lambda = 1 the step is shorter and the loop gets an answer.
+    with pytest.raises(BranchAmbiguity, match="^closing step 1 >= 1 at sample 63$") as info:
+        loops.classify(closing_tie_loop(1.0), 0.5)
+    assert info.value.index == 63
+    assert loops.classify(closing_tie_loop(math.nextafter(1.0, 0.0)), 0.5).word == word("")
 
 
 # --- fiber word --------------------------------------------------------
@@ -310,6 +328,19 @@ def test_concat_rejects_mismatched_junction():
     e2 = HyperplaneLoop(4, loops.LoopSamples([[0, 1, 0, 0]] * 3, [0] * 3))
     with pytest.raises(BadParameters, match="junction"):
         loops.concat(e2, a)
+    # The junction and the closure at their tie, residual = tol |mu| |u| with every term exact:
+    # a last row e1 + 2^-20 e2 against a first row e1 at tol = 2^-20.  One float below it, both
+    # are refused.
+    e1, bent = np.eye(4)[0], np.eye(4)[0] + 2.0 ** -20 * np.eye(4)[1]
+    ends_bent, starts_e1 = loop_of(np.array([bent, bent])), loop_of(np.array([e1, e1]))
+    closes_bent = loop_of(np.array([e1, e1, bent]))
+    tie = 2.0 ** -20
+    assert len(loops.concat(ends_bent, starts_e1, tie).samples) == 3
+    assert loops.closure_scale(closes_bent, tie) == 1.0
+    with pytest.raises(BadParameters, match="junction"):
+        loops.concat(ends_bent, starts_e1, math.nextafter(tie, 0.0))
+    with pytest.raises(NotClosed, match="^closure residual 9.54e-07 at sample 2 exceeds"):
+        loops.closure_scale(closes_bent, math.nextafter(tie, 0.0))
 
 
 def test_loop_json_roundtrip(tmp_path):
@@ -321,6 +352,14 @@ def test_loop_json_roundtrip(tmp_path):
     assert all(np.allclose(h1.c, h2.c) and h1.d == h2.d
                for h1, h2 in zip(loop.samples, back.samples))
     assert loops.classify(back).word == word("k")
+    # through a file: the rows bit for bit, and a file that is not JSON refused with its path
+    # in front of the cause
+    path = tmp_path / "kappa.json"
+    loops.save(loop, path)
+    assert np.array_equal(loops.load(path).samples.rows, loop.samples.rows)
+    path.write_text("{not json")
+    with pytest.raises(MalformedLoopFile, match=f"^{re.escape(str(path))}: JSONDecodeError: "):
+        loops.load(path)
 
 
 # --- the array pass reproduces the per-sample classifier ----------------
@@ -518,9 +557,9 @@ def test_loop_is_one_column_major_array():
 @given(**composites)
 def test_classify_is_layout_independent(n, letters, scale, noise, seed):
     # Three layouts of the rows give the same result or the same refusal, and an unperturbed
-    # composite gives the product of its pieces.  At scale -1j it is not asserted: q_0 = -1
-    # lies on the cut of the principal root that marks the punctures, so the side on which
-    # the branch starts, and with it the word, is not settled.
+    # composite gives the product of its pieces.  At scale -1j, q_0 = -1 lies on the cut of the
+    # principal root that marks the punctures, and the loop is refused there, unless noise has
+    # made a row tangent or asymptotic, which is refused first.
     rows, closure_lambda = composite_rows(n, letters, noise, seed)
     rows *= scale
     wide = np.zeros((3 * len(rows), 2 * n + 2), dtype=complex)
@@ -529,7 +568,10 @@ def test_classify_is_layout_independent(n, letters, scale, noise, seed):
                 for layout in (np.ascontiguousarray(rows), np.asfortranarray(rows), wide[::3, ::2])}
     assert len(outcomes) == 1
     result = outcomes.pop()
-    if noise == 0.0 and scale != -1j:
+    if scale == -1j:
+        assert isinstance(result, tuple)
+        assert result[:2] == (BaseOnBranchCut, 0) or result[0] is NotGeneralPosition
+    elif noise == 0.0:
         assert result.word == product(letters)
     event(result[0].__name__ if isinstance(result, tuple) else "classified")
 
@@ -602,6 +644,10 @@ def scaled_loop(loop, factor, closure_lambda):
     return loop_of(factor * loop.samples.rows, closure_lambda)
 
 
+def scaled_alpha(factor):
+    return scaled_loop(loops.make_alpha_loop(4), factor, 1.0)
+
+
 def alpha_with(i, c=None, d=None):
     base = loops.make_alpha_loop(4)
     h = base.samples[i]
@@ -636,6 +682,13 @@ REJECTIONS = {
     **{f"near-isotropic-{d:.0e}": (functools.partial(line_loop, [d] * 65, [[1, 0.99999j, 0]] * 65),
                                    error, 0)
        for d, error in ((1e308, NonFiniteSample), (1e303, PunctureCollision))},
+    # q_0 on the negative real axis, or 2e-12 |q_0| from it, the cut of the principal root that
+    # marks the punctures: these once gave a at 1j and pi/2 - 1e-12, and b at -1j and
+    # pi/2 + 1e-12
+    **{f"branch-cut-{name}": (functools.partial(scaled_alpha, factor), BaseOnBranchCut, 0)
+       for name, factor in (("1j", 1j), ("-1j", -1j),
+                            ("pi/2-1e-12", cmath.exp(1j * (math.pi / 2 - 1e-12))),
+                            ("pi/2+1e-12", cmath.exp(1j * (math.pi / 2 + 1e-12))))},
 }
 
 
@@ -646,6 +699,23 @@ def test_classify_rejection_index(name):
         loops.classify(make())
     assert info.value.index == index
     assert f"{index}" in str(info.value)
+
+
+def test_branch_cut_refused_at_its_tie():
+    # Times exp(i(pi/2 - 1e-7)), q_0 lies 2e-7 |q_0| above the negative real axis, with
+    # |q_0| = 1 exactly, so tol = |Im q_0| is the tie: refused there, and one float below it the
+    # loop gets a, the word of the side Im q_0 > 0.  Off the cut the word stays: a at 1 and 2,
+    # and b at -1, where q_0 = 1 and -(c, d) swaps the punctures that the principal root marks.
+    loop = scaled_alpha(cmath.exp(1j * (math.pi / 2 - 1e-7)))
+    inc = geometry.incidence(loop.samples.c[:1], loop.samples.d[:1])
+    tol = abs(float(inc.q[0].imag))
+    assert inc.size[0] == 1.0 and inc.q[0].real < 0.0
+    with pytest.raises(BaseOnBranchCut, match=f"^q_0 of sample 0 is {tol:.3g} ") as info:
+        loops.classify(loop, tol)
+    assert info.value.index == 0
+    assert loops.classify(loop, math.nextafter(tol, 0.0)).word == word("a")
+    for factor, expected in ((1.0, "a"), (2.0, "a"), (-1.0, "b")):
+        assert loops.classify(scaled_alpha(factor)).word == word(expected), factor
 
 
 def test_raw_non_finite_row_named_before_earlier_scaled_one():
@@ -730,9 +800,15 @@ def test_concat_refuses_non_finite_junction_factor():
     nan_end = with_sample(a, len(a.samples) - 1, Hyperplane([math.nan, 0, 0, 0], 0))
     tiny = scaled_loop(a, 1e-320, a.closure_lambda)
     inf_start = with_sample(a, 0, Hyperplane([math.inf, 0, 0, 0], 0))
-    for l1, l2 in ((nan_end, a), (a, tiny), (a, inf_start)):
+    # the smallest normal float is the least first row a fit takes; one float below it, the
+    # largest subnormal, is refused
+    smallest_normal = float(np.finfo(float).tiny)
+    below = scaled_loop(a, math.nextafter(smallest_normal, 0.0), a.closure_lambda)
+    for l1, l2 in ((nan_end, a), (a, tiny), (a, inf_start), (a, below)):
         with pytest.raises(BadParameters, match="junction"):
             loops.concat(l1, l2)
+    joined = loops.concat(a, scaled_loop(a, smallest_normal, a.closure_lambda))
+    assert loops.classify(joined).word == word("a a")
 
 
 def test_concat_refuses_infinite_last_row_as_not_closed():

@@ -122,6 +122,11 @@ def test_tangency_examples():
     assert geometry.is_tangent(Hyperplane([1, 0], 1.0))
     assert not geometry.is_tangent(Hyperplane([1, 0], 0.0))
     assert geometry.is_tangent(Hyperplane([0, 1, 0], -1.0))
+    # the tie gap = tol max(|d^2|, |q|, 1): at |c| = 1, q = 1 and d^2 = 0.25, so the gap is
+    # 0.75 and the max is 1, all exact; one float below that tol the plane is not tangent
+    h = Hyperplane([1, 0], 0.5)
+    assert geometry.is_tangent(h, tol=0.75)
+    assert not geometry.is_tangent(h, tol=math.nextafter(0.75, 0.0))
 
 
 def test_asymptotic_examples():
@@ -132,6 +137,12 @@ def test_asymptotic_examples():
     eps = 1e-4
     h = Hyperplane([1, 1j + eps], 0.0)
     assert not geometry.is_asymptotic(h, tol=eps / 2)
+    # the tie |q| = tol, with tol the |q| = 0.6 that incidence computes for c = (1, 0.5i), and
+    # one float below it
+    h = Hyperplane([1, 0.5j], 0.0)
+    size = float(geometry.incidence(h.c[None], np.array([h.d])).size[0])
+    assert geometry.is_asymptotic(h, tol=size)
+    assert not geometry.is_asymptotic(h, tol=math.nextafter(size, 0.0))
 
 
 def test_general_position_examples():

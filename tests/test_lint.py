@@ -135,3 +135,16 @@ def test_settings_state_only_their_example_count():
                           if k.arg in PROFILE_ARGUMENTS
                           or (k.arg == "max_examples" and ast.unparse(k.value) == "200")]
     assert not found, found
+
+
+# The loop file has one owner, loops.load and loops.save: the CLI opens no file and decodes no
+# JSON, so a new file format is added in loops.py alone.
+FILE_CALLS = {"open", "json.load", "json.loads"}
+
+
+def test_cli_leaves_the_loop_file_to_loops():
+    path = SRC / "cli.py"
+    found = [f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in FILE_CALLS]
+    assert not found, found
