@@ -95,5 +95,5 @@ class MalformedLoopFile(QmonoError):
 
 
 class BadParameters(QmonoError):
-    """Invalid parameters: loop-maker or loop arguments, orbit ranges, negative
-    ranks, or the inverse of a matrix that is not invertible over Z."""
+    """Invalid parameters: loop-maker or loop arguments, orbit ranges or negative
+    ranks."""

@@ -22,7 +22,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Tuple
 
-from .errors import BadParameters, DimensionTooSmall
+from .errors import DimensionTooSmall
 from .group import ALPHA, BETA, KAPPA, GroupWord
 
 LatticePoint = Tuple[int, int]
@@ -58,13 +58,6 @@ class MonodromyMatrix:
 
     def det(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m21
-
-    def inverse(self) -> "MonodromyMatrix":
-        d = self.det()
-        if d not in (1, -1):
-            raise BadParameters(f"matrix is not invertible over Z: det = {d}")
-        return MonodromyMatrix(self.m22 * d, -self.m12 * d,
-                               -self.m21 * d, self.m11 * d)
 
     def apply(self, point: LatticePoint) -> LatticePoint:
         u, v = point

@@ -1,6 +1,6 @@
 """Loops and outcomes shared by the tests: generator composites, their mutations, loops of
-n = 3 hyperplanes c = e1 with a given offset path, and the helpers that build a loop from rows
-and catch a refusal.  pytest collects no test from this module."""
+n = 3 hyperplanes c = e1 with a given offset path, the helpers that build a loop from rows
+and catch a refusal, and the matrix inverse of the oracles.  pytest collects no test from this module."""
 
 import cmath
 import functools
@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from qmono import group, loops
 from qmono.errors import QmonoError
-from qmono.geometry import Hyperplane
 from qmono.loops import HyperplaneLoop
+from qmono.representation import MonodromyMatrix
 
 
 def loop_of(rows, closure_lambda=None):
@@ -24,9 +24,10 @@ def loop_of(rows, closure_lambda=None):
 def line_loop(ds, cs=None):
     """The loop of n = 3 hyperplanes with offsets ds and coefficient vectors cs, e1 unless
     given, closing with factor 1."""
-    cs = cs or [[1.0, 0, 0]] * len(ds)
-    return HyperplaneLoop(3, tuple(Hyperplane(c, d) for c, d in zip(cs, ds)),
-                          closure_lambda=1.0)
+    rows = np.zeros((len(ds), 4), dtype=complex)
+    rows[:, :3] = [1.0, 0, 0] if cs is None else cs
+    rows[:, 3] = ds
+    return loop_of(rows, 1.0)
 
 
 def far_circle_loop(r):
@@ -35,6 +36,12 @@ def far_circle_loop(r):
     circle = [1.2 * r + 0.3 * r * cmath.exp(1j * (math.pi / 2 + 2 * math.pi * j / 16))
               for j in range(17)]
     return line_loop([1j * r, (0.6 + 0.9j) * r, *circle, (0.6 + 0.9j) * r, 1j * r])
+
+
+def inverse(m):
+    """The inverse of an integer matrix of det +-1: its adjugate times its det."""
+    d = m.det()
+    return MonodromyMatrix(m.m22 * d, -m.m12 * d, -m.m21 * d, m.m11 * d)
 
 
 def outcome(call):

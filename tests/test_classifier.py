@@ -12,6 +12,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from qmono import geometry, group, loops
+from qmono.cli import main
 from qmono.errors import (
     AsymptoticSample,
     BadParameters,
@@ -110,17 +111,6 @@ def test_branch_rejection_index():
         loops.classify(closing_tie_loop(1.0), 0.5)
     assert info.value.index == 63
     assert loops.classify(closing_tie_loop(math.nextafter(1.0, 0.0)), 0.5).word == word("")
-
-
-# --- fiber word --------------------------------------------------------
-
-def test_fiber_word_puncture_collision():
-    # d-path runs straight through the puncture at w = +1, between samples: one on it is tangent
-    c = [1.0, 0, 0]
-    ds = [2.0 * t / 63 for t in range(64)] + [2.0 * (63 - t) / 63 for t in range(1, 64)]
-    loop = HyperplaneLoop(3, tuple(Hyperplane(c, d) for d in ds), closure_lambda=1.0)
-    with pytest.raises(PunctureCollision):
-        loops.fiber_word(loop)
 
 
 # --- the collision test against the all-segments formula ----------------
@@ -349,8 +339,7 @@ def test_loop_json_roundtrip(tmp_path):
     back = loops.loop_from_dict(data)
     assert back.n == loop.n
     assert back.closure_lambda == loop.closure_lambda
-    assert all(np.allclose(h1.c, h2.c) and h1.d == h2.d
-               for h1, h2 in zip(loop.samples, back.samples))
+    assert np.array_equal(back.samples.rows, loop.samples.rows)
     assert loops.classify(back).word == word("k")
     # through a file: the rows bit for bit, and a file that is not JSON refused with its path
     # in front of the cause
@@ -372,12 +361,12 @@ def wobbly_loop(r, m=300):
     """A loop of n = 3 hyperplanes whose direction wobbles off e1."""
     u = (0.0, 0.3 + 0.2j, -0.1j)
     v = (0.2j, 0.5, 0.25 - 0.1j)
-    samples = []
+    rows = []
     for j in range(m + 1):
         t = 2 * math.pi * j / m
         c = [1.0 + 0.4 * math.sin(t) * x + 0.3 * (1 - math.cos(t)) * y for x, y in zip(u, v)]
-        samples.append(Hyperplane(c, r * (1 - math.cos(t)) / 2 + 0.8j * math.sin(t)))
-    return HyperplaneLoop(3, tuple(samples), closure_lambda=1.0)
+        rows.append([*c, r * (1 - math.cos(t)) / 2 + 0.8j * math.sin(t)])
+    return loop_of(np.array(rows), 1.0)
 
 
 PER_SAMPLE_FIXTURES = {
@@ -611,14 +600,23 @@ def test_makers_refuse_small_dimension():
 
 
 # Sizes above the cap, refused before anything is allocated; at n = 3, m = 2^20 is the
-# first one above it.  No size the cap admits near it is built here.
-@pytest.mark.parametrize("n, m", [(4, 10 ** 11), (10 ** 9, 256), (3, 2 ** 20)])
-def test_makers_refuse_oversized_fixtures(n, m):
-    assert (m + 1) * (n + 1) > loops.MAX_FIXTURE_ENTRIES
+# first one above it.  The tie there would take 64 MiB, so it is built with the cap lowered
+# to 260: at n = 3, m = 64 gives 65 rows of 4 entries, exactly the cap, and m = 65 is refused.
+@pytest.mark.parametrize("n, m", [(4, 10 ** 11), (10 ** 9, 256), (3, 2 ** 20), (3, 65)])
+def test_makers_refuse_oversized_fixtures(monkeypatch, n, m):
+    cap = 2 ** 22
+    if m == 65:
+        cap = 260
+        monkeypatch.setattr(loops, "MAX_FIXTURE_ENTRIES", cap)
+    assert (m + 1) * (n + 1) > loops.MAX_FIXTURE_ENTRIES == cap
     for make in (loops.make_alpha_loop, loops.make_beta_loop, loops.make_kappa_loop,
                  loops.make_constant_loop):
-        with pytest.raises(BadParameters, match=f"above MAX_FIXTURE_ENTRIES = {2 ** 22}$"):
+        with pytest.raises(BadParameters, match=f"^{m} samples in dimension {n} need "
+                                                f"{(m + 1) * (n + 1)} entries, above "
+                                                f"MAX_FIXTURE_ENTRIES = {cap}$"):
             make(n, m=m)
+        if m == 65:
+            assert len(make(n, m=64).samples) == 65
 
 
 def test_makers_small_sample_counts():
@@ -633,10 +631,17 @@ def test_makers_small_sample_counts():
 
 # --- every refusal names its first offending sample ---------------------
 
-def with_sample(loop, i, h):
-    samples = list(loop.samples)
-    samples[i] = h
-    return HyperplaneLoop(loop.n, tuple(samples), loop.closure_lambda)
+def with_sample(loop, i, c=None, d=None, factor=None):
+    """loop with sample i given the coefficients c or the offset d, or times factor, in a
+    copy of its rows."""
+    rows = np.array(loop.samples.rows)
+    if c is not None:
+        rows[i, :-1] = c
+    if d is not None:
+        rows[i, -1] = d
+    if factor is not None:
+        rows[i] *= factor
+    return loop_of(rows, loop.closure_lambda)
 
 
 def scaled_loop(loop, factor, closure_lambda):
@@ -648,30 +653,31 @@ def scaled_alpha(factor):
     return scaled_loop(loops.make_alpha_loop(4), factor, 1.0)
 
 
-def alpha_with(i, c=None, d=None):
-    base = loops.make_alpha_loop(4)
-    h = base.samples[i]
-    return with_sample(base, i, Hyperplane(h.c if c is None else c, h.d if d is None else d))
+def alpha_with(i, **sample):
+    return with_sample(loops.make_alpha_loop(4), i, **sample)
 
 
 e1 = [1.0, 0, 0]
-REJECTIONS = {
+# Each loop that classify refuses, with the error class and the sample index it names.
+REFUSALS = {
     "tangent": (lambda: line_loop([t / 64 for t in range(65)] + [(64 - t) / 64 for t in range(1, 65)]),
                 NotGeneralPosition, 64),
+    "tangent-64": (lambda: alpha_with(64, d=1.0), NotGeneralPosition, 64),
     "nan-c": (lambda: alpha_with(100, c=[math.nan, 0, 0, 0]), NonFiniteSample, 100),
     "inf-d": (lambda: alpha_with(100, d=complex(math.inf, 0)), NonFiniteSample, 100),
     "nan-d-and-tangent": (lambda: with_sample(alpha_with(100, d=complex(0, math.nan)), 50,
-                                              Hyperplane([1, 0, 0, 0], 1.0)),
+                                              c=[1, 0, 0, 0], d=1.0),
                           NonFiniteSample, 100),
-    "subnormal-c": (lambda: with_sample(loops.make_alpha_loop(4), 100,
-                                        loops.make_alpha_loop(4).samples[100].scaled(1e-320)),
-                    NonFiniteSample, 100),
-    "open": (lambda: HyperplaneLoop(3, loops.make_alpha_loop(3).samples[:-40]),
-             NotClosed, 216),
+    "subnormal-c": (lambda: alpha_with(100, factor=1e-320), NonFiniteSample, 100),
+    "open": (lambda: loop_of(loops.make_alpha_loop(3).samples.rows[:-40]), NotClosed, 216),
+    "open-end": (lambda: loop_of(alpha_with(256, d=0.5).samples.rows), NotClosed, 256),
     # |v0|^2 overflows at 1e200; the closure fit once passed this loop
     "open-1e200": (lambda: scaled_loop(loops.make_alpha_loop(4), 1e200, 2.0), NotClosed, 256),
     "puncture": (lambda: line_loop([0, 0.4, 0.8, 1.2, 1.6, 1.2, 0.8, 0.4, 0]),
                  PunctureCollision, 3),
+    # the fiber path runs from 0 out through +1
+    **{f"constant-{d:.0e}": (functools.partial(line_loop, [d] * 65), PunctureCollision, 0)
+       for d in (1e100, 1e160, 1e250)},
     "q-step": (lambda: line_loop([0] * 6, [e1, e1, e1, [1, 2j, 0], e1, e1]),
                UndersampledLoop, 2),
     "fiber-step": (lambda: line_loop([0, 0.3, 0.6, 0.6 + 0.5j, 0.3, 0]),
@@ -692,13 +698,34 @@ REJECTIONS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REJECTIONS))
+@pytest.mark.parametrize("name", sorted(REFUSALS))
 def test_classify_rejection_index(name):
-    make, error, index = REJECTIONS[name]
-    with pytest.raises(error) as info:
-        loops.classify(make())
-    assert info.value.index == index
-    assert f"{index}" in str(info.value)
+    # classify refuses with the class and index of the table, and names the sample in its
+    # message
+    make, error, index = REFUSALS[name]
+    refusal = outcome(lambda: loops.classify(make()))
+    assert refusal[:2] == (error, index)
+    assert re.search(rf"\b(sample|segment) {index}\b", refusal[2])
+
+
+# kappa_bit and fiber_word once answered loops that classify refused: kappa_bit gave 0 on
+# tangent-64 and the three constant loops, fiber_word a on open-end and () on constant-1e+160
+# and constant-1e+250.
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_views_refuse_what_classify_refuses(capsys, tmp_path, monkeypatch, name):
+    # classify's two views, kappa_bit and fiber_word, and qmono classify, in text and JSON
+    # mode, at the same default tolerance, refuse with classify's class, index and message.
+    monkeypatch.delenv("QMONO_TOL", raising=False)
+    make, error, _ = REFUSALS[name]
+    loop = make()
+    refusal = outcome(lambda: loops.classify(loop))
+    for view in (loops.kappa_bit, loops.fiber_word):
+        assert outcome(lambda: view(loop)) == refusal
+    path = tmp_path / "loop.json"
+    loops.save(loop, path)
+    for mode in ((), ("--json",)):
+        assert main(["classify", str(path), *mode]) == 1
+        assert capsys.readouterr() == ("", f"error: {error.__name__}: {refusal[2]}\n")
 
 
 def test_branch_cut_refused_at_its_tie():
@@ -723,7 +750,7 @@ def test_raw_non_finite_row_named_before_earlier_scaled_one():
     # scans for non-finite parts only after the scaled values have turned out not finite,
     # and that scan still comes first, so row 9 is named with its own message.
     loop = alpha_with(9, c=[1.0, complex(0.0, math.nan), 0, 0])
-    loop = with_sample(loop, 5, loop.samples[5].scaled(1e-320))
+    loop = with_sample(loop, 5, factor=1e-320)
     for refuse in (loops.classify, lambda loop: geometry.incidence(loop.samples.c, loop.samples.d)):
         with pytest.raises(NonFiniteSample) as info:
             refuse(loop)
@@ -731,7 +758,7 @@ def test_raw_non_finite_row_named_before_earlier_scaled_one():
         assert str(info.value) == "sample 9 has a non-finite coefficient or offset"
     # without row 9, row 5 is named as not finite at |c| = 1
     with pytest.raises(NonFiniteSample, match="^sample 5 is not finite at \\|c\\| = 1$"):
-        loops.classify(with_sample(loops.make_alpha_loop(4), 5, loop.samples[5]))
+        loops.classify(alpha_with(5, factor=1e-320))
 
 
 # A well-formed document of 4 coordinates, for the malformed variants below.
@@ -797,9 +824,9 @@ def test_concat_refuses_non_finite_junction_factor():
     # a NaN last sample makes the fitted junction factor NaN; a second
     # loop scaled into the subnormal range, or starting at an infinite
     # sample, makes it infinite or NaN
-    nan_end = with_sample(a, len(a.samples) - 1, Hyperplane([math.nan, 0, 0, 0], 0))
+    nan_end = with_sample(a, len(a.samples) - 1, c=[math.nan, 0, 0, 0], d=0)
     tiny = scaled_loop(a, 1e-320, a.closure_lambda)
-    inf_start = with_sample(a, 0, Hyperplane([math.inf, 0, 0, 0], 0))
+    inf_start = with_sample(a, 0, c=[math.inf, 0, 0, 0], d=0)
     # the smallest normal float is the least first row a fit takes; one float below it, the
     # largest subnormal, is refused
     smallest_normal = float(np.finfo(float).tiny)
@@ -817,9 +844,7 @@ def test_concat_refuses_infinite_last_row_as_not_closed():
     # RuntimeWarning-as-error filter, without "invalid value encountered"
     a = loops.make_alpha_loop(4)
     last = len(a.samples) - 1
-    c = a.samples.c[last].copy()
-    c[0] = math.inf
-    bad = with_sample(a, last, Hyperplane(c, a.samples.d[last]))
+    bad = with_sample(a, last, c=[math.inf, *a.samples.c[last, 1:]])
     with pytest.raises(NotClosed, match=f"at sample {last} exceeds"):
         loops.concat(a, bad)
 
@@ -846,9 +871,7 @@ def test_concat_scales_non_finite_middle_row_quietly():
     # under the suite's RuntimeWarning-as-error filter: the row of the second loop is
     # scaled without "invalid value encountered in multiply", and classify names it
     a = loops.make_alpha_loop(4)
-    c = a.samples.c[10].copy()
-    c[0] = math.inf
-    bad = with_sample(a, 10, Hyperplane(c, a.samples.d[10]))
+    bad = with_sample(a, 10, c=[math.inf, *a.samples.c[10, 1:]])
     joined = loops.concat(a, bad)
     index = len(a.samples) + 9
     with pytest.raises(NonFiniteSample, match=f"^sample {index} has a non-finite") as info:
@@ -951,65 +974,12 @@ def test_concat_chain_matches_checked_loops(n, names, kind, which, where):
         assert outcome(lambda: loops.classify(back)) == expected
 
 
-# --- kappa_bit and fiber_word are views of classify -----------------------
-
-def assert_views_of_classify(loop):
-    """kappa_bit and fiber_word give the parts of classify's word, or its refusal with the
-    same class, index and message; returns classify's result or refusal."""
-    whole = outcome(lambda: loops.classify(loop))
-    if isinstance(whole, loops.ClassificationResult):
-        parts = whole.word.kappa_bit, whole.word.free_part
-    else:
-        parts = whole, whole
-    assert (outcome(lambda: loops.kappa_bit(loop)), outcome(lambda: loops.fiber_word(loop))) == parts
-    return whole
-
-
-# Loops that kappa_bit or fiber_word once answered while classify refused them: kappa_bit
-# gave 0 on all but open-end, fiber_word gave a on open-end and () on constant-1e+160 and
-# constant-1e+250.  The constant loops' fiber path runs from 0 out through +1.
-VIEW_PROBES = {
-    "tangent-64": (lambda: alpha_with(64, d=1.0), NotGeneralPosition, 64),
-    "open-end": (lambda: HyperplaneLoop(4, alpha_with(256, d=0.5).samples), NotClosed, 256),
-    **{f"constant-{d:.0e}": (functools.partial(line_loop, [d] * 65), PunctureCollision, 0)
-       for d in (1e100, 1e160, 1e250)},
-}
-REFUSALS = {**REJECTIONS, **VIEW_PROBES}
-
-
-@pytest.mark.parametrize("name", sorted(REFUSALS))
-def test_views_refuse_what_classify_refuses(name):
-    make, error, index = REFUSALS[name]
-    assert assert_views_of_classify(make())[:2] == (error, index)
-
-
-@settings(max_examples=240)
-@given(**composites, mutation=st.sampled_from(["none", "tangent", "open", "puncture"]),
-       where=st.integers(0, 2**16), inferred=st.booleans())
-def test_kappa_bit_and_fiber_word_are_views_of_classify(n, letters, scale, noise, seed,
-                                                        mutation, where, inferred):
-    rows, closure_lambda = composite_rows(n, letters, noise, seed)
-    i = where % len(rows)
-    if mutation == "tangent":
-        rows[i, n] = np.sqrt(np.sum(rows[i, :n] ** 2))  # d^2 = q
-    elif mutation == "open":
-        rows[-1, n] += 0.5
-    elif mutation == "puncture":
-        # The end rows start at c = e1, so w_0 = d_0: the segment from 0 runs through +-1.
-        rows[0, n] = 2.0 if i % 2 else -3.0
-        rows[-1, n] = closure_lambda * rows[0, n]
-    rows *= scale
-    loop = loop_of(rows, None if inferred else closure_lambda)
-    whole = assert_views_of_classify(loop)
-    event(f"{mutation}: " + (whole[0].__name__ if isinstance(whole, tuple) else "classified"))
-
-
 def test_classify_extreme_scale_sample():
     # |c|^2 underflows at 1e-300 and overflows at 1e200; the hyperplane
     # is the same and so is the class
     alpha, beta = loops.make_alpha_loop(4), loops.make_beta_loop(4)
     for factor in (1e-300, 1e200):
-        loop = with_sample(alpha, 100, alpha.samples[100].scaled(factor))
+        loop = with_sample(alpha, 100, factor=factor)
         assert loops.classify(loop).word == word("a")
         # the closure and junction fits at that scale: the fitted factor
         # was once NaN, and the junction refused
@@ -1079,7 +1049,7 @@ def test_bad_tolerance_env_refused(monkeypatch, value):
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1.0, math.inf])
 def test_bad_tolerance_argument_refused(tol):
-    tangent = REJECTIONS["tangent"][0]()
+    tangent = REFUSALS["tangent"][0]()
     for call in (loops.classify, loops.kappa_bit, loops.fiber_word, loops.closure_scale,
                  lambda loop, tol: loops.concat(loop, loop, tol),
                  lambda loop, tol: loops.continue_sqrt_branch([1.0, 1.0], tol)):

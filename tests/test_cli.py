@@ -90,19 +90,6 @@ def write_loop(tmp_path, name, edit):
     return target
 
 
-def test_classify_non_finite_sample_refused(capsys, tmp_path):
-    def nan_c(data):
-        data["samples"][100]["c"][0] = [float("nan"), 0.0]
-
-    def inf_d(data):
-        data["samples"][7]["d"] = [float("inf"), 0.0]
-
-    for name, edit, index in (("nan.json", nan_c, 100), ("inf.json", inf_d, 7)):
-        code, out, err = run(capsys, "classify", str(write_loop(tmp_path, name, edit)))
-        assert code == 1
-        assert err.startswith(f"error: NonFiniteSample: sample {index} ")
-
-
 @pytest.mark.parametrize("text", [
     "{not json",
     '{"samples": []}',

@@ -229,21 +229,6 @@ def test_tangency_criterion_matches_singularity_oracle():
         checked += 1
 
 
-def test_exactly_two_parallel_tangents():
-    rng = random.Random(24)
-    for _ in range(100):
-        n = rng.randrange(2, 6)
-        c = random_vector(rng, n)
-        q = geometry.quad_form(c)
-        if abs(q) < 1e-3:
-            continue
-        root = cmath.sqrt(q)
-        assert abs(root - (-root)) > 0  # two distinct tangency offsets
-        assert geometry.is_tangent(Hyperplane(c, root))
-        assert geometry.is_tangent(Hyperplane(c, -root))
-        assert not geometry.is_tangent(Hyperplane(c, 0.6 * root))
-
-
 def test_pencil_tangency_values_collide_as_q_vanishes():
     # approaching the asymptotic stratum, the two tangency offsets +-sqrt(q)
     # merge at rate sqrt(|q|)
