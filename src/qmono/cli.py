@@ -13,20 +13,28 @@ OSError (printing included) to `error: ...` and exit status 1.
 
 The CLI holds no file-format code: `classify` reads its loop file with
 `loops.load` and `make-loop` writes one with `loops.save`.
+
+Import rule: a subcommand loads only the modules it runs, since one call
+costs mostly start-up.  At module level this file imports `group` and
+`errors` and no `dataclasses`; each handler imports the rest of what it
+runs.  The numpy-free modules they reach define no dataclass, so
+`normalize`, `multiply`, `invert`, `rep`, `orbit` and `homology` load
+neither numpy nor `dataclasses`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from typing import Sequence
 
-from . import group, homology, orbits, representation
+from . import group
 from .errors import BadParameters, BadTolerance, QmonoError
-from .representation import Parity
+
+# The most degree lines `homology` prints as text; --json is O(1) at any n.
+MAX_HOMOLOGY_LINES = 2 ** 20
 
 
 # name -> (operation on the parsed word arguments, their names, help text)
@@ -46,7 +54,9 @@ def _cmd_word(args):
 
 
 def _cmd_rep(args):
-    parity = Parity.from_dimension(args.n)
+    from . import representation
+
+    parity = representation.Parity.from_dimension(args.n)
     g = group.parse_word(args.word)
     m = representation.matrix_of(g, parity)
     character = representation.quotient_character(g, parity)
@@ -83,7 +93,9 @@ def _int_at_least(low: int):
 
 
 def _cmd_orbit(args):
-    parity = Parity.from_dimension(args.n)
+    from . import orbits, representation
+
+    parity = representation.Parity.from_dimension(args.n)
     report = orbits.verify_orbit_claim(args.radius, args.max_word_len, parity,
                                        start=args.start)
     if args.json:
@@ -108,6 +120,8 @@ def _cmd_orbit(args):
 
 
 def _cmd_classify(args):
+    import dataclasses
+
     from . import loops  # numpy loads only for the loop commands
 
     loop = loops.load(args.loop_file)
@@ -142,6 +156,8 @@ def _ranks(table: dict) -> dict:
 
 
 def _cmd_homology(args):
+    from . import homology
+
     table = homology.homology_table(args.n)
     if args.json:
         return {
@@ -150,6 +166,9 @@ def _cmd_homology(args):
             "absolute_reduced": _ranks(table.absolute),
             "pieces": {name: _ranks(ranks) for name, ranks in table.pieces.items()},
         }, 0
+    if table.n + 2 > MAX_HOMOLOGY_LINES:
+        raise BadParameters(f"--n {table.n} gives {table.n + 2} degree lines, above "
+                            f"MAX_HOMOLOGY_LINES = {MAX_HOMOLOGY_LINES}; use --json")
     return "\n".join(
         [f"H_i(C^{table.n}, A u L) ranks:"]
         + [f"  degree {i}: {table.relative.get(i, 0)}" for i in range(table.n + 2)]), 0
@@ -168,6 +187,8 @@ def _cmd_make_loop(args):
 
 
 def _cmd_selftest(args):
+    import dataclasses
+
     from . import selftest
 
     results = selftest.run_selftest()

@@ -24,7 +24,6 @@ reduced word, with or without sigma applied, is reduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence, Tuple
 
@@ -107,33 +106,54 @@ def sigma(word: Iterable[Letter]) -> FreeWord:
     return tuple(map(_SIGMA.__getitem__, word))
 
 
-@dataclass(frozen=True)
 class GroupWord:
-    """Normal form of an element of G: reduced free word times k^kappa_bit."""
+    """Normal form of an element of G: reduced free word times k^kappa_bit.
 
-    free_part: FreeWord = ()
-    kappa_bit: int = 0
+    Immutable: assigning or deleting a field raises AttributeError.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kappa_bit not in (0, 1):
-            raise MalformedWord(f"kappa_bit must be 0 or 1, got {self.kappa_bit!r}")
-        given = tuple(self.free_part)
+    __slots__ = ("free_part", "kappa_bit")
+
+    def __init__(self, free_part: FreeWord = (), kappa_bit: int = 0) -> None:
+        if kappa_bit not in (0, 1):
+            raise MalformedWord(f"kappa_bit must be 0 or 1, got {kappa_bit!r}")
+        given = tuple(free_part)
         reduced = free_reduce(given)
         if len(reduced) != len(given):
             raise MalformedWord("free_part is not freely reduced")
         # The canonical values checked, so that equal words compare and
         # hash alike whatever sequence or letter objects were passed.
         object.__setattr__(self, "free_part", reduced)
-        object.__setattr__(self, "kappa_bit", int(self.kappa_bit))
+        object.__setattr__(self, "kappa_bit", int(kappa_bit))
 
     @classmethod
     def _from_reduced(cls, free_part: FreeWord, kappa_bit: int) -> "GroupWord":
-        """A GroupWord without the check of __post_init__, for a free part
+        """A GroupWord without the check of __init__, for a free part
         that is a freely reduced tuple and a kappa bit of 0 or 1."""
         g = object.__new__(cls)
         object.__setattr__(g, "free_part", free_part)
         object.__setattr__(g, "kappa_bit", kappa_bit)
         return g
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # for pickle and copy, which would otherwise set the slots
+        return GroupWord, (self.free_part, self.kappa_bit)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GroupWord:
+            return NotImplemented
+        return self.kappa_bit == other.kappa_bit and self.free_part == other.free_part
+
+    def __hash__(self) -> int:
+        return hash((self.free_part, self.kappa_bit))
+
+    def __repr__(self) -> str:
+        return f"GroupWord(free_part={self.free_part!r}, kappa_bit={self.kappa_bit!r})"
 
     def is_identity(self) -> bool:
         return not self.free_part and self.kappa_bit == 0

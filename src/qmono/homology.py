@@ -9,16 +9,14 @@ and since C^n is contractible the relative homology is Z^2 in degree n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, NamedTuple
 
 from .errors import DimensionTooSmall, NegativeDimension
 
 RankTable = Dict[int, int]
 
 
-@dataclass(frozen=True)
-class HomologyTable:
+class HomologyTable(NamedTuple):
     n: int
     relative: RankTable   # degree -> rank of H_i(C^n, A u L)
     absolute: RankTable   # degree -> rank of reduced H_i(A u L)

@@ -20,8 +20,7 @@ parity is even and u0 != v0, and at most 2 otherwise, which stay unbounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable
+from typing import FrozenSet, Iterable, NamedTuple
 
 from .errors import BadParameters, OddParityClaim
 from .representation import LatticePoint, Parity
@@ -31,19 +30,24 @@ from .representation import LatticePoint, Parity
 MAX_ORBIT_POINTS = 2 ** 20
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     start: LatticePoint
     parity: Parity
     max_word_len: int
     box_radius: int
-    reached: FrozenSet[LatticePoint] = field(repr=False)
-    claimed: FrozenSet[LatticePoint] = field(repr=False)
+    reached: FrozenSet[LatticePoint]
+    claimed: FrozenSet[LatticePoint]
     missing: FrozenSet[LatticePoint]
     extraneous: FrozenSet[LatticePoint]
 
     def ok(self) -> bool:
         return not self.missing and not self.extraneous
+
+    def __repr__(self) -> str:
+        """The fields but the two point sets, which can hold 2^20 points each."""
+        return (f"OrbitReport(start={self.start!r}, parity={self.parity!r}, "
+                f"max_word_len={self.max_word_len!r}, box_radius={self.box_radius!r}, "
+                f"missing={self.missing!r}, extraneous={self.extraneous!r})")
 
 
 def _diagonal(u: int, v: int, step: int, reach: int) -> Iterable[LatticePoint]:

@@ -17,10 +17,9 @@ matrix fixes (1, 1), the class a + b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import DimensionTooSmall
 from .group import ALPHA, BETA, KAPPA, GroupWord
@@ -39,8 +38,7 @@ class Parity(Enum):
         return cls.EVEN if n % 2 == 0 else cls.ODD
 
 
-@dataclass(frozen=True)
-class MonodromyMatrix:
+class MonodromyMatrix(NamedTuple):
     """2x2 integer matrix acting on column vectors (u, v); det is +-1."""
 
     m11: int

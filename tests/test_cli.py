@@ -1,10 +1,10 @@
 import contextlib
 import copy
-import dataclasses
 import hashlib
 import io
 import json
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from qmono import loops, orbits
+from qmono import cli, group, homology, loops, orbits, representation
 from qmono.cli import main
 from strategies import far_circle_loop
 
@@ -42,8 +42,8 @@ def test_make_loop_refuses_oversized_fixture(capsys, tmp_path, argv):
 def test_selftest_reports_failures(capsys, monkeypatch):
     # An orbit claim that misses a point, and a classifier that answers b for every loop.
     verify = orbits.verify_orbit_claim
-    monkeypatch.setattr(orbits, "verify_orbit_claim", lambda *args: dataclasses.replace(
-        verify(*args), missing=frozenset({(99, 99)})))
+    monkeypatch.setattr(orbits, "verify_orbit_claim",
+                        lambda *args: verify(*args)._replace(missing=frozenset({(99, 99)})))
     beta = loops.classify(loops.make_beta_loop(4))
     monkeypatch.setattr(loops, "classify", lambda loop, tol=None: beta)
     details = {"orbit-claim": "missing [(99, 99)], extraneous []",
@@ -169,19 +169,71 @@ GROUP_COMMANDS = [["normalize", "k a"], ["multiply", "a k", "a"], ["invert", "a 
                   ["homology", "--n", "3"]]
 
 
-def test_group_commands_do_not_import_numpy():
+def test_each_command_loads_only_what_it_runs():
+    # A fresh interpreter, since this process has loaded every module already.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = ("import sys; from qmono.cli import main; "
+    code = ("import sys; before = set(sys.modules); from qmono.cli import main; "
+            "new = sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'qmono'); "
+            "assert new == ['qmono', 'qmono.cli', 'qmono.errors', 'qmono.group'], new; "
             f"codes = [main(argv) for argv in {GROUP_COMMANDS!r}]; "
             "assert codes == [0] * len(codes), codes; "
-            "assert 'numpy' not in sys.modules, 'numpy imported'; "
+            "loaded = {'numpy', 'dataclasses'} & (set(sys.modules) - before); "
+            "assert not loaded, loaded; "
             "from qmono import loops; assert 'numpy' in sys.modules")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:3] == ["b k", "a b k", "b^-1 k"]
+
+
+# name -> (a value, the name of a field, its repr), for the value types of the numpy-free
+# modules: each compares and hashes by value, refuses assignment, copies and pickles.
+VALUES = {
+    "GroupWord": (lambda: group.GroupWord((("a", 1),), 1), "free_part",
+                  "GroupWord(free_part=(('a', 1),), kappa_bit=1)"),
+    "MonodromyMatrix": (lambda: representation.MonodromyMatrix(-1, 2, 0, 1), "m11",
+                        "MonodromyMatrix(m11=-1, m12=2, m21=0, m22=1)"),
+    "OrbitReport": (lambda: orbits.verify_orbit_claim(2, 3, representation.Parity.EVEN), "missing",
+                    "OrbitReport(start=(1, 0), parity=<Parity.EVEN: 'even'>, max_word_len=3, "
+                    "box_radius=2, missing=frozenset(), extraneous=frozenset())"),
+    "HomologyTable": (lambda: homology.homology_table(3), "n",
+                      "HomologyTable(n=3, relative={3: 2}, absolute={2: 2}, "
+                      "pieces={'A': {0: 1, 2: 1}, 'L': {0: 1}, 'A_int_L': {0: 1, 1: 1}})"),
+}
+
+
+def hash_or_refusal(value):
+    try:
+        return hash(value)
+    except TypeError as exc:  # HomologyTable holds dicts
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_types_keep_their_behaviour(name):
+    make, field, text = VALUES[name]
+    value, twin = make(), make()
+    assert value is not twin and value == twin
+    assert hash_or_refusal(value) == hash_or_refusal(twin)
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(twin, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert copy.deepcopy(value) == twin and pickle.loads(pickle.dumps(value)) == twin
+    assert repr(value) == text
+
+
+def test_homology_text_refused_above_its_line_cap(capsys, monkeypatch):
+    # Degrees 0 to n + 1 make n + 2 lines, so at a cap of 8 the tie is n = 6.
+    monkeypatch.setattr(cli, "MAX_HOMOLOGY_LINES", 8)
+    code, out, err = run(capsys, "homology", "--n", "6")
+    assert (code, len(out.splitlines()), err) == (0, 9, "")
+    assert run(capsys, "homology", "--n", "7") == (1, "", (
+        "error: BadParameters: --n 7 gives 9 degree lines, above MAX_HOMOLOGY_LINES = 8; "
+        "use --json\n"))
+    assert run(capsys, "homology", "--n", "7", "--json")[0] == 0
 
 
 def alpha_document():
@@ -332,7 +384,8 @@ GOLDEN_OUTPUT = [
      '"name": "orbit-claim", "passed": true}, {"detail": "", '
      '"name": "classifier-fixtures", "passed": true}], "ok": true}\n'),
 ]
-# stderr of each domain error, the same with and without --json.
+# stderr of each domain error, the same with and without --json, but for the errors that
+# point to --json, which refuse only the text.
 GOLDEN_ERRORS = [
     ('normalize z',
      "error: MalformedWord: unknown token: 'z'\n"),
@@ -353,6 +406,9 @@ GOLDEN_ERRORS = [
     ('orbit --n 4 --max-word-len 100000000',
      'error: BadParameters: max_word_len 100000000 gives a ball of 400000000 points, '
      'above MAX_ORBIT_POINTS = 1048576\n'),
+    ('homology --n 1048575',
+     'error: BadParameters: --n 1048575 gives 1048577 degree lines, '
+     'above MAX_HOMOLOGY_LINES = 1048576; use --json\n'),
 ]
 # Sample 40 of alpha.json as set in each file that the classify lines above refuse: a
 # subnormal coefficient, and an offset that overflows once scaled to |c| = 1.  Scaling
@@ -382,7 +438,7 @@ def test_golden_output(capsys, tmp_path, monkeypatch):
         data['samples'][40].update(sample)
         (tmp_path / name).write_text(json.dumps(data))
     for cmdline, err in GOLDEN_ERRORS:
-        for mode in ((), ("--json",)):
+        for mode in ((),) if "use --json" in err else ((), ("--json",)):
             assert run(capsys, *shlex.split(cmdline), *mode) == (1, "", err), cmdline
 
 

@@ -182,7 +182,7 @@ def test_results_are_not_reduced_again(monkeypatch):
         raise AssertionError("reduced again")
 
     expected = group.normalize(g.letters()).letters()
-    monkeypatch.setattr(GroupWord, "__post_init__", refuse)
+    monkeypatch.setattr(GroupWord, "__init__", refuse)
     monkeypatch.setattr(group, "free_reduce", refuse)
     # parse_word reads the tokens in one pass, not through normalize
     monkeypatch.setattr(group, "normalize", refuse)

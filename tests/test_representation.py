@@ -134,13 +134,13 @@ def test_matrix_of_matches_fold(seed, max_len):
 
 def test_matrix_of_builds_one_matrix(monkeypatch):
     built = []
-    init = MonodromyMatrix.__init__
+    new = MonodromyMatrix.__new__
 
-    def counting_init(self, *args):
+    def counting_new(cls, *args):
         built.append(args)
-        init(self, *args)
+        return new(cls, *args)
 
-    monkeypatch.setattr(MonodromyMatrix, "__init__", counting_init)
+    monkeypatch.setattr(MonodromyMatrix, "__new__", counting_new)
     g = random_word(random.Random(15), max_len=500)
     for parity in Parity:
         built.clear()
